@@ -8,7 +8,10 @@
 // advertised outputs.
 //
 // Benchmark phase: per-epoch processing cost of each pipeline, with and
-// without observability enabled (the price of telemetry).
+// without observability enabled (the price of telemetry), and the WiFi
+// k-NN kernel alone: FingerprintDatabase::estimate() against the
+// brute-force signal_distance() ranking it replaced, on the same scans
+// (scripts/knn_gate.sh gates their ratio).
 //
 // With `--metrics-json <path>` the report phase runs fully observed
 // (metrics + timing + tracing) and writes a self-describing snapshot:
@@ -29,12 +32,15 @@
 #include "perpos/wifi/components.hpp"
 #include "perpos/wifi/fingerprint.hpp"
 
+#include "knn_reference.hpp"
+
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 using namespace perpos;
 
@@ -221,6 +227,60 @@ void BM_WifiPipelineScan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WifiPipelineScan);
+
+/// The 2 m office survey and a fixed set of seeded noisy scans at random
+/// points inside the building, shared by the two k-NN kernel benchmarks.
+struct KnnFixture {
+  locmodel::Building building = locmodel::make_office_building();
+  wifi::SignalModel model{wifi::office_access_points(),
+                          wifi::SignalModelConfig{}, &building};
+  wifi::FingerprintDatabase db =
+      wifi::FingerprintDatabase::survey(model, building, 2.0);
+  std::vector<wifi::RssiScan> scans;
+
+  KnnFixture() {
+    sim::Random random(11);
+    const geo::LocalBox& box = building.footprint();
+    while (scans.size() < 256) {
+      const geo::LocalPoint p{random.uniform(box.min_x, box.max_x),
+                              random.uniform(box.min_y, box.max_y)};
+      if (building.inside_footprint(p)) {
+        scans.push_back(model.scan_at(p, random, sim::SimTime::zero()));
+      }
+    }
+  }
+};
+
+const KnnFixture& knn_fixture() {
+  static const KnnFixture fixture;
+  return fixture;
+}
+
+/// Per-scan cost of the interned k-NN kernel, cycling through the scans.
+void BM_WifiKnnEstimate(benchmark::State& state) {
+  const KnnFixture& f = knn_fixture();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto estimate = f.db.estimate(f.scans[i]);
+    benchmark::DoNotOptimize(estimate);
+    i = (i + 1) % f.scans.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WifiKnnEstimate);
+
+/// Per-scan cost of the brute-force reference on the same scans.
+void BM_WifiKnnReference(benchmark::State& state) {
+  const KnnFixture& f = knn_fixture();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto estimate = wifi::oracle::estimate(f.db, f.scans[i]);
+    benchmark::DoNotOptimize(estimate);
+    i = (i + 1) % f.scans.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WifiKnnReference);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include "perpos/locmodel/resolver.hpp"
 #include "perpos/wifi/signal_model.hpp"
 
+#include <cstdint>
 #include <vector>
 
 /// \file fingerprint.hpp
@@ -22,6 +23,9 @@ struct Fingerprint {
 };
 
 struct KnnConfig {
+  /// Number of nearest fingerprints averaged. With k == 0 no neighbour
+  /// contributes, so estimate() returns nullopt (a WifiPositioner counts
+  /// it in failed()). A k larger than the database uses every fingerprint.
   std::size_t k = 4;
   /// RSSI assumed for an AP present in one vector but not the other —
   /// treating "not heard" as a very weak signal.
@@ -39,7 +43,8 @@ class FingerprintDatabase {
                                     int surveys_per_point = 0,
                                     perpos::sim::Random* random = nullptr);
 
-  void add(Fingerprint fp) { fingerprints_.push_back(std::move(fp)); }
+  /// Appends `fp` and interns its AP ids into the estimator's index.
+  void add(Fingerprint fp);
   const std::vector<Fingerprint>& fingerprints() const noexcept {
     return fingerprints_;
   }
@@ -53,19 +58,42 @@ class FingerprintDatabase {
   void set_frame_id(std::string frame_id) { frame_id_ = std::move(frame_id); }
 
   /// Weighted k-NN estimate in signal space. Returns nullopt for an empty
-  /// scan or an empty database. `accuracy_m` of the result is the spread
-  /// of the contributing neighbours.
+  /// scan, an empty database or `config.k == 0`. `accuracy_m` of the
+  /// result is the spread of the contributing neighbours. Bit-identical to
+  /// ranking fingerprints() by signal_distance(); safe to call from many
+  /// threads at once (it reads the index, never fills it).
   std::optional<LocalPosition> estimate(const RssiScan& scan,
                                         const KnnConfig& config = {}) const;
 
-  /// Euclidean distance between RSSI vectors with missing-AP substitution.
+  /// Euclidean distance between RSSI vectors with missing-AP substitution:
+  /// the scan's readings in scan order (each against the first reference
+  /// reading of its AP), then the reference readings whose AP the scan
+  /// lacks, in reference order.
   static double signal_distance(const RssiScan& scan,
                                 const std::vector<RssiReading>& reference,
                                 double missing_rssi_dbm);
 
  private:
+  static constexpr std::uint32_t kUnknownAp = UINT32_MAX;
+
+  /// Dense index of `ap_id`, or kUnknownAp if no fingerprint lists it.
+  std::uint32_t find_ap(const std::string& ap_id) const noexcept;
+
   std::vector<Fingerprint> fingerprints_;
   std::string frame_id_;
+
+  // Interned index, built eagerly by add() and only read by estimate().
+  struct IndexedReading {
+    std::uint32_t ap;  ///< Index into ap_ids_.
+    double rssi_dbm;
+  };
+  std::vector<std::string> ap_ids_;  ///< AP index -> id, first-seen order.
+  /// Row = AP index, one cell per fingerprint: the fingerprint's first
+  /// reading of that AP, and 1 where the fingerprint lists the AP at all.
+  std::vector<std::vector<double>> rssi_;
+  std::vector<std::vector<std::uint8_t>> present_;
+  /// Per fingerprint: its readings, interned, in their original order.
+  std::vector<std::vector<IndexedReading>> indexed_;
 };
 
 }  // namespace perpos::wifi

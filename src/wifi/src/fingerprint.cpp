@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 namespace perpos::wifi {
@@ -48,6 +49,41 @@ FingerprintDatabase FingerprintDatabase::survey(const SignalModel& model,
   return db;
 }
 
+void FingerprintDatabase::add(Fingerprint fp) {
+  const std::size_t f = fingerprints_.size();
+  // Every AP row gains a cell for the new fingerprint; a new row starts
+  // with an empty cell for every fingerprint so far.
+  for (std::vector<double>& row : rssi_) row.push_back(0.0);
+  for (std::vector<std::uint8_t>& row : present_) row.push_back(0);
+  std::vector<IndexedReading>& indexed = indexed_.emplace_back();
+  indexed.reserve(fp.readings.size());
+  for (const RssiReading& r : fp.readings) {
+    std::uint32_t ap = find_ap(r.ap_id);
+    if (ap == kUnknownAp) {
+      ap = static_cast<std::uint32_t>(ap_ids_.size());
+      ap_ids_.push_back(r.ap_id);
+      rssi_.emplace_back(f + 1, 0.0);
+      present_.emplace_back(f + 1, 0);
+    }
+    indexed.push_back({ap, r.rssi_dbm});
+    // The first reading of an AP is its lookup value, as in
+    // signal_distance().
+    if (present_[ap][f] == 0) {
+      present_[ap][f] = 1;
+      rssi_[ap][f] = r.rssi_dbm;
+    }
+  }
+  fingerprints_.push_back(std::move(fp));
+}
+
+std::uint32_t FingerprintDatabase::find_ap(
+    const std::string& ap_id) const noexcept {
+  for (std::size_t i = 0; i < ap_ids_.size(); ++i) {
+    if (ap_ids_[i] == ap_id) return static_cast<std::uint32_t>(i);
+  }
+  return kUnknownAp;
+}
+
 double FingerprintDatabase::signal_distance(
     const RssiScan& scan, const std::vector<RssiReading>& reference,
     double missing_rssi_dbm) {
@@ -79,13 +115,51 @@ double FingerprintDatabase::signal_distance(
 
 std::optional<LocalPosition> FingerprintDatabase::estimate(
     const RssiScan& scan, const KnnConfig& config) const {
-  if (scan.readings.empty() || fingerprints_.empty()) return std::nullopt;
+  if (scan.readings.empty() || fingerprints_.empty() || config.k == 0) {
+    return std::nullopt;
+  }
+  const double missing = config.missing_rssi_dbm;
+  const std::size_t n = fingerprints_.size();
 
+  // signal_distance() for every fingerprint at once: each scan term is
+  // swept across all fingerprints before the next, so every fingerprint's
+  // sum takes its terms in the same order and rounds identically.
+  std::vector<double> sum_sq(n, 0.0);
+  std::vector<std::uint8_t> heard(ap_ids_.size(), 0);
+
+  // Scan terms, in scan order, each against the fingerprint's first
+  // reading of the AP (the scan's ids are interned here, once).
+  for (const RssiReading& s : scan.readings) {
+    const std::uint32_t ap = find_ap(s.ap_id);
+    if (ap == kUnknownAp) {
+      const double d = s.rssi_dbm - missing;
+      for (std::size_t f = 0; f < n; ++f) sum_sq[f] += d * d;
+      continue;
+    }
+    heard[ap] = 1;
+    const double* rssi = rssi_[ap].data();
+    const std::uint8_t* present = present_[ap].data();
+    for (std::size_t f = 0; f < n; ++f) {
+      const double d = s.rssi_dbm - (present[f] != 0 ? rssi[f] : missing);
+      sum_sq[f] += d * d;
+    }
+  }
+
+  // Then each fingerprint's readings of APs the scan lacks, in its
+  // reading order.
   std::vector<std::pair<double, const Fingerprint*>> ranked;
-  ranked.reserve(fingerprints_.size());
-  for (const Fingerprint& fp : fingerprints_) {
-    ranked.emplace_back(
-        signal_distance(scan, fp.readings, config.missing_rssi_dbm), &fp);
+  ranked.reserve(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    double sum = sum_sq[f];
+    std::size_t dims = scan.readings.size();
+    for (const IndexedReading& r : indexed_[f]) {
+      if (heard[r.ap] != 0) continue;
+      const double d = missing - r.rssi_dbm;
+      sum += d * d;
+      ++dims;
+    }
+    ranked.emplace_back(std::sqrt(sum / static_cast<double>(dims)),
+                        &fingerprints_[f]);
   }
   const std::size_t k = std::min(config.k, ranked.size());
   std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),

@@ -1,5 +1,6 @@
 // Tests for the WiFi positioning substrate: propagation model properties,
-// fingerprint surveying, k-NN estimation quality and the pipeline
+// fingerprint surveying, k-NN estimation quality, bit-for-bit equivalence
+// of the interned k-NN index with a brute-force oracle, and the pipeline
 // components.
 
 #include "perpos/core/components.hpp"
@@ -10,9 +11,20 @@
 #include "perpos/wifi/fingerprint.hpp"
 #include "perpos/wifi/signal_model.hpp"
 
+#include "knn_reference.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <optional>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 namespace wifi = perpos::wifi;
 namespace core = perpos::core;
@@ -25,6 +37,86 @@ namespace {
 wifi::SignalModel free_space_model() {
   return wifi::SignalModel({{"AP1", {0.0, 0.0}, -30.0}},
                            wifi::SignalModelConfig{});
+}
+
+/// Bitwise comparison of point and accuracy (memcmp, so -0.0 vs 0.0 or a
+/// NaN cannot pass for equal).
+::testing::AssertionResult bit_identical(
+    const std::optional<lm::LocalPosition>& got,
+    const std::optional<lm::LocalPosition>& want) {
+  if (got.has_value() != want.has_value()) {
+    return ::testing::AssertionFailure()
+           << "estimate " << (got ? "present" : "absent") << ", oracle "
+           << (want ? "present" : "absent");
+  }
+  if (!got) return ::testing::AssertionSuccess();
+  if (std::memcmp(&got->point, &want->point, sizeof(LocalPoint)) != 0 ||
+      std::memcmp(&got->accuracy_m, &want->accuracy_m, sizeof(double)) !=
+          0 ||
+      !(got->timestamp == want->timestamp)) {
+    return ::testing::AssertionFailure()
+           << std::setprecision(17) << "estimate (" << got->point.x << ", "
+           << got->point.y << ") acc " << got->accuracy_m << ", oracle ("
+           << want->point.x << ", " << want->point.y << ") acc "
+           << want->accuracy_m;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Checks estimate() against the oracle on every scan; returns how many
+/// scans produced an estimate.
+std::size_t expect_matches_oracle(const wifi::FingerprintDatabase& db,
+                                  const std::vector<wifi::RssiScan>& scans,
+                                  const wifi::KnnConfig& config = {}) {
+  std::size_t estimated = 0;
+  for (std::size_t i = 0; i < scans.size(); ++i) {
+    const auto got = db.estimate(scans[i], config);
+    const auto want = wifi::oracle::estimate(db, scans[i], config);
+    EXPECT_TRUE(bit_identical(got, want))
+        << "scan " << i << " (k=" << config.k << ")";
+    if (got) ++estimated;
+  }
+  return estimated;
+}
+
+/// `n` noisy scans at seeded random points inside the building.
+std::vector<wifi::RssiScan> random_scans(const wifi::SignalModel& model,
+                                         const lm::Building& building,
+                                         std::size_t n, std::uint64_t seed) {
+  sim::Random random(seed);
+  const auto& box = building.footprint();
+  std::vector<wifi::RssiScan> scans;
+  while (scans.size() < n) {
+    const LocalPoint p{random.uniform(box.min_x, box.max_x),
+                       random.uniform(box.min_y, box.max_y)};
+    if (!building.inside_footprint(p)) continue;
+    scans.push_back(model.scan_at(
+        p, random,
+        sim::SimTime::from_seconds(static_cast<double>(scans.size()))));
+  }
+  return scans;
+}
+
+/// A reading list over `aps` in shuffled order, each AP kept with
+/// probability `keep`, with random non-integer RSSI values.
+std::vector<wifi::RssiReading> random_readings(
+    const std::vector<std::string>& aps, double keep, sim::Random& random) {
+  std::vector<wifi::RssiReading> readings;
+  for (const std::string& ap : aps) {
+    if (random.chance(keep)) {
+      readings.push_back({ap, random.uniform(-92.0, -30.0)});
+    }
+  }
+  std::shuffle(readings.begin(), readings.end(), random.engine());
+  return readings;
+}
+
+std::vector<std::string> ap_names(std::size_t n) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n; ++i) {
+    names.push_back("ap-" + std::to_string(i));
+  }
+  return names;
 }
 
 }  // namespace
@@ -307,4 +399,184 @@ TEST_F(FingerprintFixture, ScanQualityChannelFeature) {
   source->push(degraded.ideal_scan_at({2.0, 10.0}, {}));
   EXPECT_LE(quality->ap_count(), 2u);
   EXPECT_FALSE(quality->adequate_coverage());
+}
+
+// --- Interned k-NN index: bit-for-bit equivalence with the oracle ---------
+
+TEST_F(FingerprintFixture, IndexMatchesOracleOnIdealSurvey) {
+  const auto scans = random_scans(model, building, 2000, 101);
+  EXPECT_GT(expect_matches_oracle(db, scans), 1900u);
+}
+
+TEST_F(FingerprintFixture, IndexMatchesOracleOnNoisySurvey) {
+  sim::Random survey_random(9);
+  const auto noisy = wifi::FingerprintDatabase::survey(
+      model, building, 2.0, /*surveys_per_point=*/4, &survey_random);
+  ASSERT_GT(noisy.size(), 100u);
+  const auto scans = random_scans(model, building, 2000, 202);
+  EXPECT_GT(expect_matches_oracle(noisy, scans), 1900u);
+}
+
+TEST(Fingerprint, IndexMatchesOracleWithShuffledApOrders) {
+  // Each fingerprint lists the same APs in a different order, some skip
+  // one; the scans use yet other orders.
+  wifi::FingerprintDatabase db;
+  db.add({{0.0, 0.0}, {{"A", -40.5}, {"B", -60.25}, {"C", -71.0}}});
+  db.add({{5.0, 0.0}, {{"C", -52.75}, {"A", -48.0}, {"B", -66.5}}});
+  db.add({{0.0, 5.0}, {{"B", -44.125}, {"C", -63.0}}});
+  db.add({{5.0, 5.0}, {{"C", -41.0}, {"B", -58.5}, {"A", -77.25}}});
+  std::vector<wifi::RssiScan> scans = {
+      {{{"A", -45.0}, {"B", -61.0}, {"C", -66.0}}, {}},
+      {{{"C", -50.0}, {"B", -55.5}, {"A", -70.0}}, {}},
+      {{{"B", -47.0}, {"A", -80.0}}, {}},
+      {{{"C", -43.0}}, {}},
+  };
+  expect_matches_oracle(db, scans);
+  expect_matches_oracle(db, scans, {.k = 1});
+  expect_matches_oracle(db, scans, {.k = 3, .missing_rssi_dbm = -100.0});
+}
+
+TEST(Fingerprint, IndexMatchesOracleOnUnsurveyedAp) {
+  wifi::FingerprintDatabase db;
+  db.add({{0.0, 0.0}, {{"A", -40.0}, {"B", -60.0}}});
+  db.add({{4.0, 0.0}, {{"B", -45.0}, {"A", -65.0}}});
+  db.add({{2.0, 3.0}, {{"A", -55.0}}});
+  // "ROGUE" was never surveyed: it must count as a scan term against the
+  // missing-AP RSSI in every fingerprint, including in first position.
+  const std::vector<wifi::RssiScan> scans = {
+      {{{"ROGUE", -50.0}, {"A", -42.0}, {"B", -61.0}}, {}},
+      {{{"A", -42.0}, {"ROGUE", -50.0}}, {}},
+      {{{"ROGUE", -38.0}}, {}},
+  };
+  EXPECT_EQ(expect_matches_oracle(db, scans, {.k = 2}), scans.size());
+}
+
+TEST(Fingerprint, IndexMatchesOracleOnDuplicateApIds) {
+  // A fingerprint listing an AP twice: the first reading is its lookup
+  // value, but both count when the scan lacks the AP. A scan listing an AP
+  // twice contributes two scan terms.
+  wifi::FingerprintDatabase db;
+  db.add({{0.0, 0.0}, {{"A", -40.0}, {"B", -60.0}, {"A", -52.0}}});
+  db.add({{6.0, 0.0}, {{"B", -41.0}, {"B", -47.5}, {"C", -70.0}}});
+  db.add({{3.0, 4.0}, {{"C", -45.0}, {"A", -66.0}}});
+  const std::vector<wifi::RssiScan> scans = {
+      {{{"A", -44.0}, {"A", -48.0}}, {}},
+      {{{"B", -43.0}, {"C", -69.0}, {"B", -50.0}}, {}},
+      {{{"C", -47.0}}, {}},
+      {{{"B", -40.0}, {"A", -41.0}, {"B", -40.0}}, {}},
+  };
+  EXPECT_EQ(expect_matches_oracle(db, scans, {.k = 2}), scans.size());
+}
+
+TEST_F(FingerprintFixture, IndexMatchesOracleWithDisabledAp) {
+  wifi::SignalModel live = model;
+  ASSERT_TRUE(live.set_enabled("AP-C12", false));
+  const auto scans = random_scans(live, building, 500, 303);
+  for (const auto& scan : scans) {
+    ASSERT_EQ(scan.find("AP-C12"), nullptr);
+  }
+  expect_matches_oracle(db, scans);
+}
+
+TEST(Fingerprint, IndexMatchesOracleWithEmptyFingerprint) {
+  wifi::FingerprintDatabase db;
+  db.add({{0.0, 0.0}, {{"A", -40.0}, {"B", -60.0}}});
+  db.add({{9.0, 9.0}, {}});
+  db.add({{4.0, 0.0}, {{"B", -45.0}}});
+  ASSERT_EQ(db.size(), 3u);
+  const std::vector<wifi::RssiScan> scans = {
+      {{{"A", -42.0}, {"B", -61.0}}, {}},
+      {{{"Z", -90.0}}, {}},
+  };
+  EXPECT_EQ(expect_matches_oracle(db, scans, {.k = 3}), scans.size());
+}
+
+TEST(Fingerprint, IndexMatchesOracleWithManyAps) {
+  // 100 distinct APs (more than one 64-bit presence word), fingerprints
+  // and scans over random shuffled subsets; scans also hear 20 APs no
+  // fingerprint lists.
+  sim::Random random(404);
+  const std::vector<std::string> aps = ap_names(100);
+  wifi::FingerprintDatabase db;
+  for (int i = 0; i < 80; ++i) {
+    db.add({{random.uniform(0.0, 50.0), random.uniform(0.0, 50.0)},
+            random_readings(aps, 0.15, random)});
+  }
+  std::set<std::string> distinct;
+  for (const wifi::Fingerprint& fp : db.fingerprints()) {
+    for (const wifi::RssiReading& r : fp.readings) distinct.insert(r.ap_id);
+  }
+  ASSERT_GT(distinct.size(), 64u);
+  std::vector<std::string> heard = ap_names(120);
+  std::vector<wifi::RssiScan> scans;
+  for (int i = 0; i < 120; ++i) {
+    scans.push_back({random_readings(heard, 0.15, random),
+                     sim::SimTime::from_seconds(i)});
+  }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5}}) {
+    expect_matches_oracle(db, scans, {.k = k});
+  }
+}
+
+TEST_F(FingerprintFixture, IndexMatchesOracleWhenKExceedsSize) {
+  const auto scans = random_scans(model, building, 50, 505);
+  const wifi::KnnConfig all{.k = db.size() + 7};
+  EXPECT_EQ(expect_matches_oracle(db, scans, all), scans.size());
+
+  wifi::FingerprintDatabase tiny;
+  tiny.add({{0.0, 0.0}, {{"A", -40.0}}});
+  tiny.add({{2.0, 0.0}, {{"A", -60.0}}});
+  EXPECT_EQ(expect_matches_oracle(tiny, {{{{"A", -50.0}}, {}}}, {.k = 10}),
+            1u);
+}
+
+TEST_F(FingerprintFixture, ZeroKYieldsNoEstimate) {
+  const wifi::RssiScan scan = model.ideal_scan_at({12.0, 10.0}, {});
+  EXPECT_FALSE(db.estimate(scan, {.k = 0}).has_value());
+
+  core::ProcessingGraph g;
+  auto source = std::make_shared<core::SourceComponent>(
+      "WiFi", std::vector<core::DataSpec>{core::provide<wifi::RssiScan>()});
+  auto sink = std::make_shared<core::ApplicationSink>();
+  auto positioner =
+      std::make_shared<wifi::WifiPositioner>(db, wifi::KnnConfig{.k = 0});
+  const auto a = g.add(source);
+  const auto p = g.add(positioner);
+  const auto z = g.add(sink);
+  g.connect(a, p);
+  g.connect(p, z);
+  source->push(scan);
+  EXPECT_EQ(positioner->failed(), 1u);
+  EXPECT_EQ(sink->received(), 0u);
+}
+
+TEST_F(FingerprintFixture, ConcurrentEstimatesMatchSingleThreaded) {
+  // One database shared by many threads, as engine lanes share it: every
+  // result must equal the single-threaded one.
+  const auto scans = random_scans(model, building, 400, 606);
+  std::vector<std::optional<lm::LocalPosition>> expected;
+  for (const auto& scan : scans) expected.push_back(db.estimate(scan));
+
+  constexpr std::size_t kThreads = 6;
+  std::vector<std::vector<std::optional<lm::LocalPosition>>> results(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the scans from a different offset.
+      for (std::size_t i = 0; i < scans.size(); ++i) {
+        const std::size_t j = (i + t * 67) % scans.size();
+        results[t].push_back(db.estimate(scans[j]));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), scans.size());
+    for (std::size_t i = 0; i < scans.size(); ++i) {
+      const std::size_t j = (i + t * 67) % scans.size();
+      EXPECT_TRUE(bit_identical(results[t][i], expected[j]))
+          << "thread " << t << " scan " << j;
+    }
+  }
 }

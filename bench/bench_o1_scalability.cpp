@@ -11,17 +11,18 @@
 //  * observability overhead (metrics / timing / tracing) vs the bare graph,
 //  * batched emission (emit_batch) vs per-sample pushes,
 //  * multi-graph throughput through the execution engine vs worker count,
-//  * compiled execution plans (verify-then-freeze) vs interpreted dispatch.
+//  * pipeline dispatch vs a bare std::function relay loop of the same depth.
 //
 // `--metrics-json <path>` writes the observed deep-pipeline run as a
 // machine-readable snapshot (metrics + Chrome trace_event flow trace).
+// The JSON context carries an environment block: the project's build
+// type, compiler and flags, git sha and core count.
 
 #include "perpos/core/channel.hpp"
 #include "perpos/core/components.hpp"
 #include "perpos/core/graph.hpp"
 #include "perpos/exec/engine.hpp"
 #include "perpos/fusion/metrics.hpp"
-#include "perpos/plan/graph_plan.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -29,8 +30,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace perpos;
@@ -50,9 +53,9 @@ std::shared_ptr<core::LambdaComponent> make_relay() {
       });
 }
 
-/// A pipeline of `depth` relays, optionally frozen into a compiled plan.
+/// A pipeline of `depth` relays.
 struct ChainRig {
-  explicit ChainRig(int depth, bool frozen = false) {
+  explicit ChainRig(int depth) {
     source = std::make_shared<core::SourceComponent>(
         "Src", std::vector<core::DataSpec>{core::provide<Value>()});
     core::ComponentId prev = graph.add(source);
@@ -63,7 +66,6 @@ struct ChainRig {
     }
     sink = std::make_shared<core::ApplicationSink>();
     graph.connect(prev, graph.add(sink));
-    if (frozen) graph.freeze_plan();
   }
   core::ProcessingGraph graph;
   std::shared_ptr<core::SourceComponent> source;
@@ -149,27 +151,23 @@ void BM_PipelineDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineDepth)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-/// The same pipeline frozen into a compiled plan (GraphPlan verifies then
-/// freezes — flat SoA dispatch tables plus the provenance arena replace
-/// the interpreted map/hash lookups and per-hop allocation). Compare with
-/// BM_PipelineDepth at the same depth for the freeze speedup; the CI perf
-/// gate holds frozen/256 to >= 1.5x interpreted/256.
-void BM_PipelineDepthFrozen(benchmark::State& state) {
-  ChainRig rig(static_cast<int>(state.range(0)));
-  plan::GraphPlan policy(rig.graph);
-  const plan::FreezeResult frozen = policy.freeze();
-  if (!frozen.frozen) {
-    state.SkipWithError(("freeze refused: " + frozen.reason).c_str());
-    return;
-  }
+/// The floor under BM_PipelineDepth: the same number of hops as bare
+/// std::function calls in a loop — no samples, logical time, provenance or
+/// routing. scripts/perf_gate.sh bounds the ratio of the two at depth 256.
+void BM_RelayBaseline(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  std::vector<std::function<int(int)>> hops(depth + 1,
+                                            [](int v) { return v + 1; });
   int i = 0;
   for (auto _ : state) {
-    rig.source->push(Value{i++});
+    int v = i++;
+    for (const auto& hop : hops) v = hop(v);
+    benchmark::DoNotOptimize(v);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * (state.range(0) + 1)));
 }
-BENCHMARK(BM_PipelineDepthFrozen)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_RelayBaseline)->Arg(16)->Arg(64)->Arg(256);
 
 /// Same pipeline with observability on: range(1) selects the level
 /// (1 = metrics, 2 = +timing, 3 = +tracing).
@@ -339,48 +337,6 @@ BENCHMARK(BM_EngineMultiGraph)
     ->Arg(8)
     ->UseRealTime();
 
-/// BM_EngineMultiGraph with every pipeline frozen: the engine's lanes
-/// drive compiled plans instead of the interpreted dispatcher. Freezing
-/// is per-graph state, so per-lane plans compose with worker scaling.
-void BM_EngineMultiGraphFrozen(benchmark::State& state) {
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
-  constexpr int kGraphs = 16;
-  constexpr int kDepth = 16;
-  constexpr int kBurst = 64;
-  std::vector<std::unique_ptr<ChainRig>> rigs;
-  for (int g = 0; g < kGraphs; ++g) {
-    rigs.push_back(std::make_unique<ChainRig>(kDepth, /*frozen=*/true));
-  }
-  exec::ExecutionEngine engine(workers);
-  std::vector<std::function<void(exec::Task)>> lanes;
-  for (int g = 0; g < kGraphs; ++g) {
-    lanes.push_back(engine.executor(engine.create_lane()));
-  }
-  int i = 0;
-  for (auto _ : state) {
-    for (int g = 0; g < kGraphs; ++g) {
-      ChainRig* rig = rigs[static_cast<std::size_t>(g)].get();
-      const int base = i;
-      lanes[static_cast<std::size_t>(g)]([rig, base] {
-        for (int b = 0; b < kBurst; ++b) rig->source->push(Value{base + b});
-      });
-    }
-    i += kBurst;
-    engine.run_until_idle();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kGraphs * kBurst * (kDepth + 1));
-  state.SetLabel(workers == 0 ? "inline" :
-                 std::to_string(workers) + " workers");
-}
-BENCHMARK(BM_EngineMultiGraphFrozen)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -394,6 +350,15 @@ int main(int argc, char** argv) {
     }
   }
   argc = kept;
+
+  // Environment block: what produced the numbers (the library_build_type
+  // field describes the system libbenchmark, not this project).
+  benchmark::AddCustomContext("perpos_build_type", PERPOS_BUILD_TYPE);
+  benchmark::AddCustomContext("perpos_compiler", PERPOS_COMPILER);
+  benchmark::AddCustomContext("perpos_cxx_flags", PERPOS_CXX_FLAGS);
+  benchmark::AddCustomContext("perpos_git_sha", PERPOS_GIT_SHA);
+  benchmark::AddCustomContext(
+      "perpos_cores", std::to_string(std::thread::hardware_concurrency()));
 
   print_report(metrics_json_path);
   benchmark::Initialize(&argc, argv);

@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
-# Refreshes the checked-in machine-readable benchmark snapshots:
+# Refreshes the checked-in machine-readable benchmark snapshot
+# BENCH_o1.json: the O1 scalability experiment (pipeline depth against the
+# bare std::function relay loop, emit_batch amortization, multi-graph
+# engine scaling).
 #
-#   BENCH_o1.json   — the O1 scalability experiment (pipeline depth,
-#                     emit_batch amortization, multi-graph engine scaling)
-#   BENCH_plan.json — compiled execution plans: frozen vs interpreted
-#                     dispatch over the same rigs, captured in one run so
-#                     both series share a single environment block
+# Usage: scripts/bench_snapshot.sh            # refresh BENCH_o1.json
+#        scripts/bench_snapshot.sh out.json   # custom path
 #
-# Usage: scripts/bench_snapshot.sh            # refresh both snapshots
-#        scripts/bench_snapshot.sh out.json   # O1 series only, custom path
-#
-# Expects a configured build in ./build (cmake -B build -S . && cmake
-# --build build -j). Benchmark selection and repetitions are kept modest so
-# the snapshot is reproducible on a laptop; the environment block in the
-# JSON (host, num_cpus, library_build_type, date) says what produced the
-# numbers — read it before comparing snapshots from different machines.
+# Expects a configured optimized build in ./build (cmake -B build -S .
+# -DCMAKE_BUILD_TYPE=Release && cmake --build build -j). Benchmark
+# selection and repetitions are kept modest so the snapshot is
+# reproducible on a laptop; the environment block in the JSON (PerPos
+# build type, compiler and flags, git sha, core count, host, date) says
+# what produced the numbers — read it before comparing snapshots from
+# different machines.
 set -eu
 bench="build/bench/bench_o1_scalability"
 if [ ! -x "$bench" ]; then
@@ -23,24 +22,28 @@ if [ ! -x "$bench" ]; then
 fi
 
 # Prints the environment block of a snapshot and warns — loudly — about
-# the two conditions that make absolute numbers meaningless: a benchmark
-# library built without optimization, and a single-CPU machine (the
-# engine-scaling series needs real cores to mean anything).
+# the two conditions that make absolute numbers meaningless: PerPos built
+# without optimization, and a single-core machine (the engine-scaling
+# series needs real cores to mean anything). libbenchmark's own
+# library_build_type describes the system package, not PerPos.
 report_context() {
   python3 - "$1" <<'EOF'
 import json, sys
 path = sys.argv[1]
 ctx = json.load(open(path))["context"]
-build = ctx.get("library_build_type", "unknown")
-cpus = ctx.get("num_cpus", 0)
+build = ctx.get("perpos_build_type", "unknown")
+cpus = int(ctx.get("perpos_cores", "0") or 0)
 print(f"== {path} environment ==")
-print(f"   library_build_type : {build}")
-print(f"   num_cpus           : {cpus}")
+print(f"   perpos_build_type  : {build}")
+print(f"   perpos_compiler    : {ctx.get('perpos_compiler', '?')}")
+print(f"   perpos_cxx_flags   : {ctx.get('perpos_cxx_flags', '?')}")
+print(f"   perpos_git_sha     : {ctx.get('perpos_git_sha', '?')}")
+print(f"   perpos_cores       : {cpus}")
 print(f"   host               : {ctx.get('host_name', '?')}")
 print(f"   date               : {ctx.get('date', '?')}")
-if build != "release":
+if build not in ("Release", "RelWithDebInfo"):
     print("*" * 68)
-    print(f"** WARNING: benchmark library built as '{build}', not 'release'.")
+    print(f"** WARNING: PerPos built as '{build}', not an optimized build.")
     print("** Absolute timings are NOT representative — reconfigure with")
     print("**   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release")
     print("*" * 68)
@@ -64,9 +67,5 @@ snap() {
   report_context "$out"
 }
 
-if [ $# -ge 1 ]; then
-  snap "$1" 'BM_PipelineDepth/|BM_EmitBatch|BM_EngineMultiGraph/'
-  exit 0
-fi
-snap BENCH_o1.json 'BM_PipelineDepth/|BM_EmitBatch|BM_EngineMultiGraph/'
-snap BENCH_plan.json 'BM_PipelineDepth(Frozen)?/|BM_EngineMultiGraph(Frozen)?/'
+snap "${1:-BENCH_o1.json}" \
+  'BM_PipelineDepth/|BM_RelayBaseline/|BM_EmitBatch|BM_EngineMultiGraph/'

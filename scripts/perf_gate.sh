@@ -1,20 +1,24 @@
 #!/usr/bin/env bash
-# CI gate for the compiled-execution-plan speedup: runs the pipeline-depth
-# series frozen and interpreted in one benchmark process (shared
-# environment block, interleaved repetitions so machine drift hits both
-# sides equally) and fails unless the frozen geomean speedup at the
-# deepest measured pipeline clears the threshold.
+# CI gate for dispatch cost: runs BM_PipelineDepth/256 (a source, 256
+# relays and a sink dispatched through the lowered plan) and
+# BM_RelayBaseline/256 (the same number of hops as bare std::function calls
+# in a loop) in one benchmark process with interleaved repetitions, so
+# machine drift hits both sides equally, and fails when the pipeline's
+# median time exceeds max_ratio times the baseline's.
 #
-# Usage: scripts/perf_gate.sh <build-dir> <out.json> [min-ratio]
+# Usage: scripts/perf_gate.sh <build-dir> <out.json>
 #
-# The 1.5 default is deliberately below the ~2x seen on quiet hardware:
-# shared CI runners are noisy, and a flaky gate is worse than a loose one.
-# The JSON written to <out.json> is uploaded as an artifact so a gate
-# failure comes with the numbers attached.
+# max_ratio is 1.4x the 49.8x that the compiled-plan dispatcher this gate
+# replaced measured against the same baseline (median of eight runs of 9-15
+# interleaved repetitions each, Release -O2 as in CI, 4-vCPU 2.1 GHz Xeon;
+# the runs ranged 47-53x): the slack the earlier "frozen at least 1.5x
+# faster than interpreted" gate left against its measured 2.1-2.2x. The
+# JSON written to <out.json> is uploaded as an artifact so a gate failure
+# comes with the numbers attached.
 set -eu
-build="${1:?usage: perf_gate.sh <build-dir> <out.json> [min-ratio]}"
-out="${2:?usage: perf_gate.sh <build-dir> <out.json> [min-ratio]}"
-min_ratio="${3:-1.5}"
+build="${1:?usage: perf_gate.sh <build-dir> <out.json>}"
+out="${2:?usage: perf_gate.sh <build-dir> <out.json>}"
+max_ratio=70.0
 bench="$build/bench/bench_o1_scalability"
 if [ ! -x "$bench" ]; then
   echo "error: $bench not built" >&2
@@ -22,46 +26,45 @@ if [ ! -x "$bench" ]; then
 fi
 
 "$bench" \
-  --benchmark_filter='BM_PipelineDepth(Frozen)?/(16|64|256)$' \
+  --benchmark_filter='BM_(PipelineDepth|RelayBaseline)/256$' \
   --benchmark_min_time=0.15 \
-  --benchmark_repetitions=5 \
+  --benchmark_repetitions=9 \
   --benchmark_enable_random_interleaving=true \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \
   --benchmark_out="$out" \
   --benchmark_out_format=json > /dev/null
 
-python3 - "$out" "$min_ratio" <<'EOF'
+python3 - "$out" "$max_ratio" <<'EOF'
 import json, sys
 data = json.load(open(sys.argv[1]))
-min_ratio = float(sys.argv[2])
+max_ratio = float(sys.argv[2])
 medians = {}
 for b in data["benchmarks"]:
     if b.get("aggregate_name") == "median":
         medians[b["run_name"]] = b["real_time"]
 ctx = data["context"]
-print(f"library_build_type={ctx.get('library_build_type')} "
-      f"num_cpus={ctx.get('num_cpus')}")
-pairs = {}
-for name, t in sorted(medians.items()):
-    if "Frozen" not in name:
-        frozen = medians.get(name.replace("Depth/", "DepthFrozen/"))
-        if frozen is None:
-            continue
-        depth = int(name.rsplit("/", 1)[1])
-        pairs[depth] = t / frozen
-        print(f"depth {depth:>4}: interpreted {t:9.0f} ns   "
-              f"frozen {frozen:9.0f} ns   speedup {t / frozen:.2f}x")
-if not pairs:
-    sys.exit("no frozen/interpreted pairs found in benchmark output")
-# Gate on the deepest pipeline only: shallow chains spend a larger share
-# of their time in the per-push fixed costs both paths share, so their
-# ratio is structurally smaller and noisier.
-depth = max(pairs)
-ratio = pairs[depth]
-if ratio < min_ratio:
-    sys.exit(f"FAIL: frozen speedup {ratio:.2f}x at depth {depth} "
-             f"is below the {min_ratio:.2f}x gate")
-print(f"PASS: frozen speedup {ratio:.2f}x at depth {depth} "
-      f">= {min_ratio:.2f}x")
+build = ctx.get("perpos_build_type", "unknown")
+cores = int(ctx.get("perpos_cores", "0") or 0)
+print(f"perpos_build_type={build} perpos_cores={cores} "
+      f"compiler={ctx.get('perpos_compiler', '?')} "
+      f"git_sha={ctx.get('perpos_git_sha', '?')}")
+if build not in ("Release", "RelWithDebInfo"):
+    print(f"WARNING: PerPos built as '{build}', not an optimized build; "
+          "the ratio measures the compiler, not the code")
+if cores < 2:
+    print(f"WARNING: {cores} core(s): any other process on the host lands "
+          "on the measured one")
+pipeline = medians.get("BM_PipelineDepth/256")
+baseline = medians.get("BM_RelayBaseline/256")
+if pipeline is None or baseline is None:
+    sys.exit("BM_PipelineDepth/256 / BM_RelayBaseline/256 medians not found")
+ratio = pipeline / baseline
+print(f"pipeline {pipeline:9.0f} ns   bare relay loop {baseline:7.0f} ns   "
+      f"ratio {ratio:.1f}x")
+if ratio > max_ratio:
+    sys.exit(f"FAIL: depth-256 dispatch costs {ratio:.1f}x the bare relay "
+             f"loop, above the {max_ratio:.1f}x gate")
+print(f"PASS: depth-256 dispatch costs {ratio:.1f}x the bare relay loop "
+      f"<= {max_ratio:.1f}x")
 EOF

@@ -11,7 +11,7 @@
 /// The static analyzer (perpos::verify) proves properties of a snapshot;
 /// the runtime Graph Sanitizer (perpos::sanitize) checks the matching
 /// invariants on the *live* graph — thread affinity, logical-time
-/// monotonicity, cascade bounds, pool hygiene. The core cannot depend on
+/// monotonicity, cascade bounds, queue depth. The core cannot depend on
 /// either, so it exposes this minimal observer interface instead: a graph
 /// carries at most one GraphSentry, and every hot-path call site is a
 /// single null-pointer check when none is installed (the same pattern the
@@ -41,9 +41,7 @@ struct GraphMutation {
 
 /// Observer of the graph's dispatch hot path. Implementations must be
 /// cheap and must not throw, mutate the graph, or emit — they run inside
-/// dispatch. on_pool_double_release() may be called from any thread that
-/// releases a retained sample (an engine lane, an application thread);
-/// everything else is called on the thread driving the graph.
+/// dispatch. Every hook is called on the thread driving the graph.
 class GraphSentry {
  public:
   virtual ~GraphSentry() = default;
@@ -63,11 +61,6 @@ class GraphSentry {
     (void)queue_depth;
     (void)cascade;
   }
-
-  /// A provenance buffer was handed back to the pool twice. The pool
-  /// drops the duplicate instead of corrupting its free list; this
-  /// callback makes the bug visible.
-  virtual void on_pool_double_release() {}
 };
 
 }  // namespace perpos::core

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
 // TSan cannot see the happens-before edge implied by a shared_ptr use_count
 // observed at 1 plus the acquire fence the arena pairs with it, so buffer
-// reuse in the frozen plan's provenance arena is compiled out under TSan:
-// every buffer is freshly allocated and freed through the default deleter.
+// reuse in the provenance arena is compiled out under TSan: every buffer
+// is freshly allocated and freed through the default deleter.
 #if defined(__SANITIZE_THREAD__)
 #define PERPOS_PLAN_NO_ARENA 1
 #elif defined(__has_feature)
@@ -24,6 +23,12 @@
 
 namespace perpos::core {
 
+namespace {
+
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+}  // namespace
+
 /// Cached metric handles of one component; filled lazily after
 /// enable_observability so the hot path never does a registry lookup.
 struct ComponentMetricHandles {
@@ -34,71 +39,9 @@ struct ComponentMetricHandles {
   obs::Counter* consume_vetoed = nullptr;
   obs::Histogram* on_input_us = nullptr;
   /// End-to-end ingest→sink latency; created only for sinks with the
-  /// latency knob on (see deliver()).
+  /// latency knob on (see deliver_top()).
   obs::Histogram* e2e_latency_us = nullptr;
   obs::Counter* deadline_miss = nullptr;
-};
-
-/// Recycles the vector<Sample> buffers behind Sample::inputs. Every
-/// provenance-carrying emission used to heap-allocate a fresh vector; now
-/// the buffer is drawn from this free list and returned by the shared_ptr
-/// deleter when the last sample referencing it dies. The pool outlives the
-/// graph through shared ownership, so samples kept by applications after
-/// graph teardown release their buffers safely (they are freed, not
-/// returned, once the weak reference is gone — and the free list dying
-/// with the pool frees whatever it still holds). The mutex makes returns
-/// from other execution-engine lanes safe; it is uncontended in
-/// single-threaded use.
-struct ProcessingGraph::ProvenancePool {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<std::vector<Sample>>> free_list;
-  static constexpr std::size_t kMaxFree = 256;
-  /// Set (under `mutex`) while a sanitizer sentry is installed: returns
-  /// scan the free list for the returning buffer, and a duplicate is
-  /// reported through this callback and *dropped* instead of corrupting
-  /// the list. Cleared when the graph dies.
-  std::function<void()> on_double_release;
-
-  std::unique_ptr<std::vector<Sample>> acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!free_list.empty()) {
-        auto buffer = std::move(free_list.back());
-        free_list.pop_back();
-        return buffer;
-      }
-    }
-    return std::make_unique<std::vector<Sample>>();
-  }
-
-  struct ReturnToPool {
-    std::weak_ptr<ProvenancePool> pool;
-    void operator()(const std::vector<Sample>* p) const noexcept {
-      auto* buffer = const_cast<std::vector<Sample>*>(p);
-      // Destroy the samples before taking the pool lock: releasing them can
-      // release further pooled buffers down the provenance chain.
-      buffer->clear();
-      if (auto alive = pool.lock()) {
-        std::lock_guard<std::mutex> lock(alive->mutex);
-        if (alive->on_double_release) {
-          for (const auto& held : alive->free_list) {
-            if (held.get() == buffer) {
-              // Already on the free list: a second owner released the same
-              // buffer. Report and drop the duplicate — handing it back
-              // again would let two future samples share one buffer.
-              alive->on_double_release();
-              return;
-            }
-          }
-        }
-        if (alive->free_list.size() < kMaxFree) {
-          alive->free_list.emplace_back(buffer);
-          return;
-        }
-      }
-      delete buffer;
-    }
-  };
 };
 
 struct ProcessingGraph::Entry {
@@ -138,9 +81,14 @@ struct ProcessingGraph::Entry {
   /// latency follows the slowest contributing input, without rescanning.
   double pending_ingest_min = 0.0;
   /// The input currently being processed by on_input (nesting-safe via
-  /// save/restore in deliver()); used as fallback provenance when a second
-  /// emission happens after pending_inputs was consumed.
+  /// save/restore in deliver_top()); used as fallback provenance when a
+  /// second emission happens after pending_inputs was consumed.
   const Sample* current_input = nullptr;
+  /// Arena slot whose buffer was still externally referenced when this
+  /// component's delivered sample died — typically a sink retaining the
+  /// latest sample. Re-checked after the next on_input, which is exactly
+  /// when a latest-value consumer drops the old retention.
+  std::uint32_t watch_slot = kNone;
 
   ComponentMetricHandles metric_handles;
   std::uint64_t metric_epoch = 0;  ///< Matches Obs::epoch when handles valid.
@@ -218,17 +166,15 @@ struct ProcessingGraph::Obs {
   }
 };
 
-/// The compiled execution plan (see freeze_plan() in the header). A frozen
-/// graph keeps every piece of per-component runtime state — logical time,
-/// pending provenance, the shared dispatch stack — in the Entry objects the
-/// interpreted path uses, so the plan is pure *routing*: a dense,
-/// topologically-ordered node array with the edges, compiled requirement
-/// checks, feature hook chains and metric counters flattened into direct
-/// index ranges, plus an arena that recycles provenance buffers without the
-/// pool's per-emission mutex and control-block allocation.
-struct ProcessingGraph::FrozenPlan {
-  static constexpr std::uint32_t kNoNode = 0xffffffffu;
-
+/// The lowered dispatch plan: the current structure flattened into a
+/// dense, topologically-ordered node array with the edges, compiled
+/// requirement checks and feature hook chains as direct index ranges.
+/// Pure routing — every piece of per-component runtime state (logical
+/// time, pending provenance) lives in the Entry objects, so marking the
+/// plan stale on a mutation and re-lowering it on the next emission is
+/// seamless. Rebuilt in place by lower(), which reuses the storage of the
+/// previous lowering; never mutated between lowerings.
+struct ProcessingGraph::Plan {
   struct Node {
     ProcessingComponent* component = nullptr;
     Entry* entry = nullptr;
@@ -240,162 +186,177 @@ struct ProcessingGraph::FrozenPlan {
     std::uint32_t feat_begin = 0;  ///< Into `features`, attach order.
     std::uint32_t feat_count = 0;
     bool records_provenance = false;
-    /// Arena slot whose buffer was still externally referenced when this
-    /// node's delivered sample died — typically a sink retaining the
-    /// latest sample. Re-checked after the node's next on_input, which is
-    /// exactly when a latest-value consumer drops the old retention.
-    std::uint32_t watch_slot = kNoNode;
-    // Metric counters resolved once at freeze time (null when metrics are
-    // off). Safe to cache: any observability reconfiguration thaws the plan.
-    obs::Counter* emitted = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* produce_vetoed = nullptr;
-    obs::Counter* consume_vetoed = nullptr;
+    /// Featureless and uninstrumented: deliveries to this node consume
+    /// the sample in place unless a sentry is installed.
+    bool deliver_in_place = false;
+    /// ...and with a single consumer: emissions build their sample
+    /// directly in its dispatch-stack slot.
+    bool emit_in_place = false;
   };
 
   std::vector<Node> nodes;  ///< Topological order, sources first.
-  /// Holding pen for the sample a featureless non-provenance node is
-  /// consuming: frozen_deliver_top() moves the stack slot here so the
-  /// sample outlives the pop without a second intermediate move. Safe as
-  /// a single slot — deliveries only start from the drain loop, never
-  /// nested inside on_input, so at most one delivery uses it at a time.
-  Sample scratch;
-  /// ComponentId -> index into `nodes` (kNoNode for dead slots). Ids cannot
-  /// appear or disappear while frozen: every structural mutation thaws.
+  /// ComponentId -> index into `nodes` (kNone for dead slots).
   std::vector<std::uint32_t> dense_of;
   std::vector<std::uint32_t> edges;
   std::vector<Entry::CompiledRequirement> reqs;
   std::vector<ComponentFeature*> features;
-  obs::Counter* deliveries_total = nullptr;
-  obs::Counter* rejections_total = nullptr;
+  /// Lowering's working storage (Kahn's in-degrees and order).
+  std::vector<std::uint32_t> indegree;
+  std::vector<ComponentId> order;
+  /// Observability as of lowering (reconfiguring it marks the plan stale):
+  /// metric counters, and whether timing, tracing or latency need the
+  /// per-delivery instrumentation the in-place fast paths skip.
+  bool metrics = false;
+  bool instrumented = false;
+  /// Holding pen for the sample a delivery is consuming when it does not
+  /// move into pending_inputs (or while consume hooks run on it). Safe as
+  /// a single slot — deliveries only start from the drain loop, never
+  /// nested inside on_input, so at most one delivery uses it at a time.
+  Sample scratch;
 
-  /// Provenance arena: shared buffers reused when their use_count drops
-  /// back to 1 (only the arena holds them), replacing the pool's mutex +
-  /// per-emission control-block allocation with a plain free-list pop.
-  /// The buffers are ordinary make_shared allocations, so slots still
-  /// referenced by application-retained samples simply outlive the plan
-  /// (and the graph) through shared ownership. Touched only from the
-  /// dispatch thread; releases from other lanes just decrement the
-  /// atomic count.
-  ///
-  /// Free slots are discovered deterministically, because provenance
-  /// chains die one level at a time and a blind ring scan almost never
-  /// lands on the one slot that just became free:
-  ///  * harvest(): when a delivered sample is about to be destroyed and
-  ///    holds the last non-arena reference to its buffer (the sink-side
-  ///    head of a dying chain),
-  ///  * per-node watch slots: when the dying sample's buffer is still
-  ///    referenced from outside (a sink retained the sample), the node
-  ///    remembers the slot and re-checks it right after its next
-  ///    on_input — the moment a latest-value sink replaces its stored
-  ///    sample and the previous chain head actually becomes free,
-  ///  * the cascade in acquire_buffer(): clearing a reused buffer
-  ///    destroys its samples, which releases the chain level below it.
-  /// A bounded ring scan remains as a fallback for references that die
-  /// out of band (multi-sample retention, rejected fan-out copies).
-  std::vector<std::shared_ptr<std::vector<Sample>>> arena;
+  std::uint32_t node_of(ComponentId id) const {
+    if (id >= dense_of.size() || dense_of[id] == kNone) {
+      throw std::invalid_argument("unknown component id");
+    }
+    return dense_of[id];
+  }
+
+  bool accepts(const Node& n, const Sample& sample) const noexcept {
+    const TypeInfo* const type = sample.payload.type();
+    const Entry::CompiledRequirement* r = reqs.data() + n.req_begin;
+    for (std::uint32_t i = 0; i < n.req_count; ++i) {
+      if (r[i].origin == sample.origin &&
+          (r[i].any_type || r[i].type == type)) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+/// Recycles the vector<Sample> buffers behind Sample::inputs across every
+/// plan the graph lowers. Buffers are shared, reused when their use_count
+/// drops back to 1 (only the arena holds them) — a free-list pop instead of
+/// a heap allocation per provenance-carrying emission. Slots still
+/// referenced by application-retained samples simply outlive the arena
+/// (and the graph) through shared ownership. Touched only from the
+/// dispatch thread; releases from other lanes just decrement the atomic
+/// count.
+///
+/// Free slots are discovered deterministically, because provenance
+/// chains die one level at a time and a blind ring scan almost never
+/// lands on the one slot that just became free:
+///  * harvest(): when a delivered sample is about to be destroyed and
+///    holds the last non-arena reference to its buffer (the sink-side
+///    head of a dying chain),
+///  * per-component watch slots: when the dying sample's buffer is still
+///    referenced from outside (a sink retained the sample), the component
+///    remembers the slot and re-checks it right after its next on_input —
+///    the moment a latest-value sink replaces its stored sample and the
+///    previous chain head actually becomes free,
+///  * the cascade in acquire(): clearing a reused buffer destroys its
+///    samples, which releases the chain level below it.
+/// A bounded ring scan remains as a fallback for references that die out
+/// of band (multi-sample retention, rejected fan-out copies).
+struct ProcessingGraph::Arena {
+  std::vector<std::shared_ptr<std::vector<Sample>>> slots;
   std::vector<std::uint32_t> free_slots;
-  /// Parallel to `arena`: 1 while the slot sits in `free_slots`. Guards
+  /// Parallel to `slots`: 1 while the slot sits in `free_slots`. Guards
   /// against double-listing a slot that a stale watch and a harvest (or
   /// the sweep) both notice — two holders of one buffer would corrupt it.
   std::vector<std::uint8_t> slot_free;
   std::size_t scan_cursor = 0;
-  static constexpr std::size_t kMaxArena = 4096;
+  static constexpr std::size_t kMaxSlots = 4096;
   static constexpr std::size_t kMaxProbes = 64;
 
-  /// Buffer address -> arena slot. Open addressing with linear probing
-  /// over a fixed power-of-two table (2 * kMaxArena keeps the load factor
-  /// under one half; slots are never erased, the arena only grows).
-  /// Replaces unordered_map, whose prime-modulo bucket indexing costs an
-  /// integer division on every lookup — measurably the single most
-  /// expensive instruction in the frozen dispatch loop.
-  static constexpr std::size_t kMapSize = kMaxArena * 2;
-  std::vector<const void*> map_keys;
-  std::vector<std::uint32_t> map_vals;
-
-  static std::size_t hash_ptr(const void* p) noexcept {
-    return static_cast<std::size_t>(
-        (reinterpret_cast<std::uintptr_t>(p) * 0x9E3779B97F4A7C15ull) >> 51);
-  }
-
-  std::uint32_t slot_lookup(const std::vector<Sample>* p) const noexcept {
-    if (map_keys.empty()) return kNoNode;
-    std::size_t i = hash_ptr(p);
-    while (map_keys[i] != nullptr) {
-      if (map_keys[i] == p) return map_vals[i];
-      i = (i + 1) & (kMapSize - 1);
+  /// Deleter of every arena buffer: an ordinary delete that also names
+  /// the buffer's arena and slot, which std::get_deleter recovers from any
+  /// sample's `inputs` — no address-to-slot table to size or probe, and a
+  /// buffer of another graph's arena (or a one-shot fallback buffer) is
+  /// recognised as not ours.
+  struct SlotTag {
+    std::uint64_t arena = 0;
+    std::uint32_t index = kNone;
+    void operator()(std::vector<Sample>* buffer) const noexcept {
+      delete buffer;
     }
-    return kNoNode;
+  };
+  /// Never reused, unlike an address: a buffer outliving its graph cannot
+  /// be mistaken for a slot of an arena later allocated at the same spot.
+  const std::uint64_t id = next_id();
+
+  static std::uint64_t next_id() noexcept {
+    static std::atomic<std::uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  void slot_insert(const std::vector<Sample>* p, std::uint32_t value) {
-    if (map_keys.empty()) {
-      map_keys.assign(kMapSize, nullptr);
-      map_vals.assign(kMapSize, 0);
-    }
-    std::size_t i = hash_ptr(p);
-    while (map_keys[i] != nullptr) i = (i + 1) & (kMapSize - 1);
-    map_keys[i] = p;
-    map_vals[i] = value;
+  std::uint32_t slot_of(
+      const std::shared_ptr<const std::vector<Sample>>& buffer) const noexcept {
+    const SlotTag* tag = std::get_deleter<SlotTag>(buffer);
+    return tag != nullptr && tag->arena == id ? tag->index : kNone;
   }
 
-  void release_slot(std::uint32_t index) {
+  void release(std::uint32_t index) {
     if (slot_free[index] == 0) {
       slot_free[index] = 1;
       free_slots.push_back(index);
     }
   }
 
-  /// `dying` is about to be destroyed: if it holds the last outside
-  /// reference to an arena buffer, queue that slot for reuse. use_count
-  /// == 2 means exactly {arena, dying}; the count can only have shrunk to
-  /// 2 after every other owner released, so the slot is free the moment
-  /// `dying` goes away, and nothing can revive it — only acquire_buffer
+  /// `dying` (a sample's inputs) is about to be destroyed: if it holds the
+  /// last outside reference to an arena buffer, queue that slot for reuse.
+  /// use_count == 2 means exactly {arena, dying}; the count can only have
+  /// shrunk to 2 after every other owner released, so the slot is free the
+  /// moment `dying` goes away, and nothing can revive it — only acquire()
   /// hands arena slots out.
-  void harvest(const Sample& dying) {
+  void harvest(const std::shared_ptr<const std::vector<Sample>>& dying) {
 #if !PERPOS_PLAN_NO_ARENA
-    if (dying.inputs != nullptr && dying.inputs.use_count() == 2) {
-      const std::uint32_t slot = slot_lookup(dying.inputs.get());
-      if (slot != kNoNode) release_slot(slot);
+    if (dying != nullptr && dying.use_count() == 2) {
+      const std::uint32_t slot = slot_of(dying);
+      if (slot != kNone) release(slot);
     }
+#else
+    (void)dying;
 #endif
   }
 
   /// harvest(), plus: when the buffer is still referenced beyond
   /// {arena, dying} — the consumer retained the delivered sample — park
-  /// the slot on the node's watch so the next delivery re-checks it.
-  void harvest_or_watch(const Sample& dying, Node& n) {
+  /// the slot on the consumer's watch so its next delivery re-checks it.
+  void harvest_or_watch(const std::shared_ptr<const std::vector<Sample>>& dying,
+                        Entry& consumer) {
 #if !PERPOS_PLAN_NO_ARENA
-    if (dying.inputs == nullptr) return;
-    const long uses = dying.inputs.use_count();
-    const std::uint32_t slot = slot_lookup(dying.inputs.get());
-    if (slot == kNoNode) return;
+    if (dying == nullptr) return;
+    const long uses = dying.use_count();
+    const std::uint32_t slot = slot_of(dying);
+    if (slot == kNone) return;
     if (uses == 2) {
-      release_slot(slot);
+      release(slot);
     } else {
-      n.watch_slot = slot;
+      consumer.watch_slot = slot;
     }
+#else
+    (void)dying;
+    (void)consumer;
 #endif
   }
 
-  /// Called after a node's on_input: if the previously watched buffer has
-  /// lost its outside references (the sink replaced its stored latest),
-  /// queue it. A watched slot cannot be handed out while still retained
-  /// (use_count > 1 defeats the sweep and it is never in free_slots), and
-  /// release_slot() ignores slots the sweep already recovered.
-  void check_watch(Node& n) {
-#if !PERPOS_PLAN_NO_ARENA
-    if (n.watch_slot != kNoNode && arena[n.watch_slot].use_count() == 1) {
-      release_slot(n.watch_slot);
-      n.watch_slot = kNoNode;
+  /// Called after a component's on_input: if the previously watched
+  /// buffer has lost its outside references (the sink replaced its stored
+  /// latest), queue it. A watched slot cannot be handed out while still
+  /// retained (use_count > 1 defeats the sweep and it is never in
+  /// free_slots), and release() ignores slots the sweep already recovered.
+  void check_watch(Entry& consumer) {
+    if (consumer.watch_slot != kNone &&
+        slots[consumer.watch_slot].use_count() == 1) {
+      release(consumer.watch_slot);
+      consumer.watch_slot = kNone;
     }
-#endif
   }
 
-  std::shared_ptr<std::vector<Sample>> acquire_buffer() {
+  std::shared_ptr<std::vector<Sample>> acquire() {
 #if !PERPOS_PLAN_NO_ARENA
-    std::uint32_t index = kNoNode;
+    std::uint32_t index = kNone;
     if (!free_slots.empty()) {
       index = free_slots.back();
       free_slots.pop_back();
@@ -407,34 +368,35 @@ struct ProcessingGraph::FrozenPlan {
       // finding just the head of a dying chain is enough: the cascade
       // below recovers every level under it, so the sweep only needs one
       // hit per chain, not one per buffer.
-      const std::size_t n = arena.size();
+      const std::size_t n = slots.size();
       std::size_t probes = n < kMaxProbes ? n : kMaxProbes;
       while (probes-- > 0) {
         const std::size_t k = scan_cursor;
         scan_cursor = scan_cursor + 1 == n ? 0 : scan_cursor + 1;
-        if (arena[k].use_count() == 1) {
+        if (slots[k].use_count() == 1) {
           index = static_cast<std::uint32_t>(k);
           break;
         }
       }
     }
-    if (index != kNoNode) {
-      std::shared_ptr<std::vector<Sample>>& slot = arena[index];
+    if (index != kNone) {
+      std::shared_ptr<std::vector<Sample>>& slot = slots[index];
       // Every sample reference is gone. Pair their releasing decrements
       // with an acquire fence before touching the buffer's storage.
       std::atomic_thread_fence(std::memory_order_acquire);
       // Cascade: clearing this buffer destroys its samples, freeing the
       // chain level each of them references (count 2 = {arena, sample}).
-      for (const Sample& s : *slot) harvest(s);
+      for (const Sample& s : *slot) harvest(s.inputs);
       slot->clear();
       return slot;
     }
-    if (arena.size() < kMaxArena) {
-      arena.push_back(std::make_shared<std::vector<Sample>>());
+    if (slots.size() < kMaxSlots) {
+      std::shared_ptr<std::vector<Sample>> buffer(
+          new std::vector<Sample>(),
+          SlotTag{id, static_cast<std::uint32_t>(slots.size())});
+      slots.push_back(buffer);
       slot_free.push_back(0);
-      slot_insert(arena.back().get(),
-                  static_cast<std::uint32_t>(arena.size() - 1));
-      return arena.back();
+      return buffer;
     }
 #endif
     // Arena exhausted (or TSan build): fall back to a one-shot buffer that
@@ -521,25 +483,11 @@ void ProcessingGraph::remove_mutation_observer(std::size_t token) {
       observers_.end());
 }
 
-void ProcessingGraph::set_sentry(GraphSentry* sentry) noexcept {
-  sentry_ = sentry;
-  // Wire (or unwire) pool double-release detection. The callback captures
-  // the raw sentry pointer: the sentry contract requires it to stay valid
-  // until detached or the graph dies, and ~ProcessingGraph clears the
-  // callback so releases arriving after graph death stay silent.
-  std::lock_guard<std::mutex> lock(pool_->mutex);
-  if (sentry == nullptr) {
-    pool_->on_double_release = nullptr;
-  } else {
-    pool_->on_double_release = [sentry] { sentry->on_pool_double_release(); };
-  }
-}
-
 void ProcessingGraph::notify_mutation(const GraphMutation& mutation) {
-  // Translucency rule: any structural change invalidates the compiled
-  // plan. Every caller already rejected mid-dispatch mutation, so the
-  // dispatch stack is empty here and the thaw is seamless.
-  if (plan_ != nullptr) thaw_plan();
+  // Causal connection: any structural change makes the lowered plan
+  // stale; the next emission re-lowers it. Every caller already rejected
+  // mid-dispatch mutation, so no dispatch is running on the old plan.
+  plan_stale_ = true;
   if (obs_ && obs_->config.metrics) {
     obs_->mutations_total->inc();
     obs_->components_gauge->set(static_cast<double>(live_count_));
@@ -572,9 +520,9 @@ void ProcessingGraph::notify_mutation(const GraphMutation& mutation) {
 
 void ProcessingGraph::notify_observers(const GraphMutation& mutation) {
   // Feature attach/detach reaches here without passing notify_mutation;
-  // the flattened hook chains go stale, so the plan thaws on this path
-  // too (attach/detach refuse to run mid-dispatch while frozen).
-  if (plan_ != nullptr) thaw_plan();
+  // the flattened hook chains go stale, so the plan is marked stale on
+  // this path too (attach/detach refuse to run mid-dispatch).
+  plan_stale_ = true;
   ++notify_depth_;
   try {
     const std::size_t count = observers_.size();
@@ -609,7 +557,9 @@ void ProcessingGraph::end_notify() {
 }
 
 ProcessingGraph::ProcessingGraph(const sim::Clock* clock)
-    : clock_(clock), pool_(std::make_shared<ProvenancePool>()) {}
+    : clock_(clock),
+      plan_(std::make_unique<Plan>()),
+      arena_(std::make_unique<Arena>()) {}
 
 ProcessingGraph::~ProcessingGraph() {
   // Graph teardown: give every live component a chance to flush buffered
@@ -622,17 +572,13 @@ ProcessingGraph::~ProcessingGraph() {
     } catch (...) {
     }
   }
-  // Late provenance releases (samples retained by applications) must not
-  // call into a sentry that may be gone by then.
-  std::lock_guard<std::mutex> lock(pool_->mutex);
-  pool_->on_double_release = nullptr;
 }
 
 void ProcessingGraph::enable_observability(obs::ObservabilityConfig config) {
   check_not_dispatching("enable_observability");
-  // The plan caches metric counters and is compiled for a specific obs
-  // configuration; reconfiguring observability thaws it.
-  if (plan_ != nullptr) thaw_plan();
+  // The plan is lowered for a specific obs configuration (which hops may
+  // take the uninstrumented fast paths); reconfiguring makes it stale.
+  plan_stale_ = true;
   if (!obs_) {
     obs_ = std::make_unique<Obs>();
     obs_->deliveries_total =
@@ -676,7 +622,7 @@ void ProcessingGraph::enable_observability(obs::ObservabilityConfig config) {
 
 void ProcessingGraph::disable_observability() {
   check_not_dispatching("disable_observability");
-  if (plan_ != nullptr) thaw_plan();  // Cached counters die with obs_.
+  plan_stale_ = true;
   obs_.reset();
   refresh_active_recorder();
   current_span_ = 0;
@@ -1003,10 +949,9 @@ void ProcessingGraph::replace(ComponentId id,
 
 void ProcessingGraph::attach_feature(
     ComponentId host, std::shared_ptr<ComponentFeature> feature) {
-  // Interpreted dispatch reads hook chains live, so mid-dispatch attach is
-  // tolerated there; the frozen plan flattened them at freeze time and
-  // cannot thaw while the dispatch stack holds dense node indices.
-  if (plan_ != nullptr) check_not_dispatching("attach_feature");
+  // The running plan flattened the hook chains, and the dispatch stack
+  // holds its node indices: no re-lowering until dispatch ends.
+  check_not_dispatching("attach_feature");
   Entry& e = entry(host);
   if (!feature) throw std::invalid_argument("null feature");
   const std::string name(feature->name());
@@ -1025,7 +970,7 @@ void ProcessingGraph::attach_feature(
 }
 
 void ProcessingGraph::detach_feature(ComponentId host, std::string_view name) {
-  if (plan_ != nullptr) check_not_dispatching("detach_feature");
+  check_not_dispatching("detach_feature");
   Entry& e = entry(host);
   const auto it = std::find_if(
       e.features.begin(), e.features.end(),
@@ -1113,116 +1058,27 @@ std::vector<DataSpec> ProcessingGraph::capabilities(ComponentId id) const {
   return out;
 }
 
-void ProcessingGraph::stamp_provenance(Entry& e, Sample& sample) {
-  // Provenance: everything consumed since the previous emission; when that
-  // was already claimed by an earlier emission in the same on_input call,
-  // fall back to the input being processed right now. Buffers come from
-  // the pool, so the steady state allocates nothing: the swap hands the
-  // accumulated samples to the outgoing buffer and leaves the (recycled)
-  // buffer's capacity behind for the next accumulation round.
-  if (!e.pending_inputs.empty()) {
-    auto buffer = pool_->acquire();
-    buffer->swap(e.pending_inputs);
-    sample.cached_seq_min = e.pending_seq_min;
-    sample.cached_seq_max = e.pending_seq_max;
-    sample.ingest_us = e.pending_ingest_min;
-    e.pending_seq_min = 0;
-    e.pending_seq_max = 0;
-    e.pending_ingest_min = 0.0;
-    sample.inputs = std::shared_ptr<const std::vector<Sample>>(
-        buffer.release(), ProvenancePool::ReturnToPool{pool_});
-  } else if (e.current_input != nullptr) {
-    auto buffer = pool_->acquire();
-    buffer->push_back(*e.current_input);
-    sample.cached_seq_min = e.current_input->sequence;
-    sample.cached_seq_max = e.current_input->sequence;
-    sample.ingest_us = e.current_input->ingest_us;
-    sample.inputs = std::shared_ptr<const std::vector<Sample>>(
-        buffer.release(), ProvenancePool::ReturnToPool{pool_});
-  }
-}
+// --- Lowered dispatch --------------------------------------------------------
 
-void ProcessingGraph::enqueue_deliveries(Sample&& sample, const Entry& e) {
-  const std::vector<ComponentId>& consumers = e.consumers;
-  if (consumers.empty()) return;
-  // Insert this emission's delivery block at the current frame base. Blocks
-  // of later emissions within the same on_input (or hook) frame land below
-  // earlier ones, and within a block consumers are laid out in reverse, so
-  // the LIFO drain visits everything in exactly the order the old recursive
-  // dispatcher did: emissions in emit order, each fully propagated through
-  // its consumer subtree before the next, consumers in connection order.
-  const auto base = dispatch_stack_.begin() +
-                    static_cast<std::ptrdiff_t>(current_frame_base_);
-  if (consumers.size() == 1) {
-    dispatch_stack_.insert(base, PendingDelivery{std::move(sample),
-                                                 consumers.front()});
-    return;
-  }
-  std::vector<PendingDelivery> block;
-  block.reserve(consumers.size());
-  for (std::size_t i = consumers.size(); i-- > 1;) {
-    block.push_back(PendingDelivery{sample, consumers[i]});
-  }
-  block.push_back(PendingDelivery{std::move(sample), consumers.front()});
-  dispatch_stack_.insert(base, std::make_move_iterator(block.begin()),
-                         std::make_move_iterator(block.end()));
-}
-
-void ProcessingGraph::drain_dispatch_stack() {
-  dispatching_ = true;
-  drain_cascade_ = 0;
-  try {
-    while (!dispatch_stack_.empty()) {
-      PendingDelivery next = std::move(dispatch_stack_.back());
-      dispatch_stack_.pop_back();
-      deliver(std::move(next.sample), next.consumer);
-    }
-  } catch (...) {
-    // Mirror the old recursive unwinding: abandoned sibling deliveries are
-    // dropped and the graph is dispatchable again.
-    dispatch_stack_.clear();
-    current_frame_base_ = 0;
-    dispatching_ = false;
-    throw;
-  }
-  current_frame_base_ = 0;
-  dispatching_ = false;
-}
-
-const char* ProcessingGraph::freeze_blocker() const noexcept {
-  if (dispatching_) return "cannot freeze during dispatch";
-  if (obs_ != nullptr) {
-    // Timing, tracing and latency need per-delivery instrumentation the
-    // compiled path deliberately omits; plain metrics, flight recording
-    // and the sentry all work frozen.
-    if (obs_->config.timing) {
-      return "timing observability requires the interpreted path";
-    }
-    if (obs_->config.tracing) {
-      return "flow tracing requires the interpreted path";
-    }
-    if (obs_->config.latency) {
-      return "latency observation requires the interpreted path";
-    }
-  }
-  return nullptr;
-}
-
-void ProcessingGraph::freeze_plan() {
-  if (plan_ != nullptr) return;
-  if (const char* blocker = freeze_blocker()) {
-    throw std::logic_error(std::string("ProcessingGraph::freeze_plan: ") +
-                           blocker);
-  }
-  auto plan = std::make_unique<FrozenPlan>();
-  plan->dense_of.assign(entries_.size(), FrozenPlan::kNoNode);
+void ProcessingGraph::lower() {
+  Plan& plan = *plan_;
+  plan.nodes.clear();
+  plan.edges.clear();
+  plan.reqs.clear();
+  plan.features.clear();
+  plan.dense_of.assign(entries_.size(), kNone);
+  plan.metrics = obs_ != nullptr && obs_->config.metrics;
+  plan.instrumented = obs_ != nullptr && (obs_->config.timing ||
+                                          obs_->config.tracing ||
+                                          obs_->config.latency);
 
   // Topological order via Kahn's algorithm, seeded with the sources in
   // ascending id order — deterministic, and connect() already rejected
   // cycles, so every live node is reached.
-  std::vector<std::uint32_t> indegree(entries_.size(), 0);
-  std::vector<ComponentId> order;
-  order.reserve(live_count_);
+  std::vector<std::uint32_t>& indegree = plan.indegree;
+  std::vector<ComponentId>& order = plan.order;
+  indegree.assign(entries_.size(), 0);
+  order.clear();
   for (ComponentId id = 0; id < entries_.size(); ++id) {
     if (!has(id)) continue;
     indegree[id] = static_cast<std::uint32_t>(entries_[id]->producers.size());
@@ -1234,67 +1090,50 @@ void ProcessingGraph::freeze_plan() {
     }
   }
   for (std::size_t d = 0; d < order.size(); ++d) {
-    plan->dense_of[order[d]] = static_cast<std::uint32_t>(d);
+    plan.dense_of[order[d]] = static_cast<std::uint32_t>(d);
   }
 
-  const bool metrics = obs_ != nullptr && obs_->config.metrics;
-  plan->nodes.reserve(order.size());
   for (ComponentId id : order) {
     Entry& e = *entries_[id];
-    FrozenPlan::Node n;
+    Plan::Node n;
     n.component = e.component.get();
     n.entry = &e;
     n.id = id;
-    n.edge_begin = static_cast<std::uint32_t>(plan->edges.size());
-    for (ComponentId c : e.consumers) plan->edges.push_back(plan->dense_of[c]);
+    n.edge_begin = static_cast<std::uint32_t>(plan.edges.size());
+    for (ComponentId c : e.consumers) plan.edges.push_back(plan.dense_of[c]);
     n.edge_count = static_cast<std::uint32_t>(e.consumers.size());
-    n.req_begin = static_cast<std::uint32_t>(plan->reqs.size());
-    plan->reqs.insert(plan->reqs.end(), e.compiled_requirements.begin(),
-                      e.compiled_requirements.end());
+    n.req_begin = static_cast<std::uint32_t>(plan.reqs.size());
+    plan.reqs.insert(plan.reqs.end(), e.compiled_requirements.begin(),
+                     e.compiled_requirements.end());
     n.req_count = static_cast<std::uint32_t>(e.compiled_requirements.size());
-    n.feat_begin = static_cast<std::uint32_t>(plan->features.size());
-    for (const auto& f : e.features) plan->features.push_back(f.get());
+    n.feat_begin = static_cast<std::uint32_t>(plan.features.size());
+    for (const auto& f : e.features) plan.features.push_back(f.get());
     n.feat_count = static_cast<std::uint32_t>(e.features.size());
     n.records_provenance = e.records_provenance;
-    if (metrics) {
-      ComponentMetricHandles& h = obs_->handles(e, id);
-      n.emitted = h.emitted;
-      n.delivered = h.delivered;
-      n.rejected = h.rejected;
-      n.produce_vetoed = h.produce_vetoed;
-      n.consume_vetoed = h.consume_vetoed;
-    }
-    plan->nodes.push_back(n);
+    n.deliver_in_place = n.feat_count == 0 && !plan.instrumented;
+    n.emit_in_place = n.deliver_in_place && n.edge_count == 1;
+    plan.nodes.push_back(n);
   }
-  if (metrics) {
-    plan->deliveries_total = obs_->deliveries_total;
-    plan->rejections_total = obs_->rejections_total;
-  }
-  plan_ = std::move(plan);
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
-                  "plan.freeze");
-  }
+  plan_stale_ = false;
 }
 
-void ProcessingGraph::thaw_plan() {
-  check_not_dispatching("thaw_plan");
-  if (plan_ == nullptr) return;
-  // Buffers still referenced by in-flight or retained samples survive the
-  // arena through shared ownership; the rest are freed here.
-  plan_.reset();
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kMark, 0xffffffffu, 0, 0,
-                  "plan.thaw");
-  }
-}
-
-void ProcessingGraph::frozen_stamp_provenance(Entry& e, Sample& sample) {
-  // Same claim rules as stamp_provenance, with the buffer drawn from the
-  // plan's arena: no mutex, no control-block allocation in steady state.
-  // The const conversion on assignment shares the control block.
+inline void ProcessingGraph::fill_emission(Sample& sample, Entry& e,
+                                           ComponentId producer,
+                                           Payload&& payload, OriginId origin,
+                                           sim::SimTime now) {
+  sample.payload = std::move(payload);
+  sample.timestamp = now;
+  sample.producer = producer;
+  sample.sequence = ++e.sequence;
+  sample.origin = origin;
+  // Provenance: everything consumed since the previous emission; when that
+  // was already claimed by an earlier emission in the same on_input call,
+  // fall back to the input being processed right now. Buffers come from
+  // the arena, so the steady state allocates nothing: the swap hands the
+  // accumulated samples to the outgoing buffer and leaves the (recycled)
+  // buffer's capacity behind for the next accumulation round.
   if (!e.pending_inputs.empty()) {
-    std::shared_ptr<std::vector<Sample>> buffer = plan_->acquire_buffer();
+    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire();
     buffer->swap(e.pending_inputs);
     sample.cached_seq_min = e.pending_seq_min;
     sample.cached_seq_max = e.pending_seq_max;
@@ -1304,60 +1143,129 @@ void ProcessingGraph::frozen_stamp_provenance(Entry& e, Sample& sample) {
     e.pending_ingest_min = 0.0;
     sample.inputs = std::move(buffer);
   } else if (e.current_input != nullptr) {
-    std::shared_ptr<std::vector<Sample>> buffer = plan_->acquire_buffer();
+    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire();
     buffer->push_back(*e.current_input);
     sample.cached_seq_min = e.current_input->sequence;
     sample.cached_seq_max = e.current_input->sequence;
     sample.ingest_us = e.current_input->ingest_us;
     sample.inputs = std::move(buffer);
   }
+  // Latency tracking: a root emission (no inherited ingest stamp) marks the
+  // moment its data entered the graph; sinks subtract this on delivery.
+  if (plan_->instrumented && obs_->config.latency && sample.ingest_us == 0.0) {
+    sample.ingest_us = now_wall_us();
+  }
 }
 
-void ProcessingGraph::frozen_enqueue(Sample&& sample,
-                                     std::uint32_t node_index) {
-  // Mirror of enqueue_deliveries over the flat edge table; the queued
-  // consumer field carries the *dense* index of the receiving node.
-  const FrozenPlan::Node& n = plan_->nodes[node_index];
-  if (n.edge_count == 0) return;
+bool ProcessingGraph::run_produce_hooks(std::uint32_t node, Sample& sample) {
+  const Plan::Node& n = plan_->nodes[node];
+  // A hook may modify the sample but not its data type; returning false
+  // drops the emission.
+  Obs* const obs = obs_.get();
+  const bool timing = plan_->instrumented && obs->config.timing;
+  const TypeInfo* const original_type = sample.payload.type();
+  ComponentFeature* const* feats = plan_->features.data() + n.feat_begin;
+  for (std::uint32_t i = 0; i < n.feat_count; ++i) {
+    ComponentFeature& f = *feats[i];
+    bool keep = false;
+    if (timing) {
+      const double t0 = now_wall_us();
+      keep = f.produce(sample);
+      obs->handles(*n.entry, n.id, f).produce_us->observe(now_wall_us() - t0);
+    } else {
+      keep = f.produce(sample);
+    }
+    if (!keep) {
+      if (plan_->metrics) obs->handles(*n.entry, n.id).produce_vetoed->inc();
+      retire(*n.entry, sample);
+      return false;
+    }
+    if (sample.payload.type() != original_type) {
+      throw std::logic_error("feature '" + std::string(f.name()) +
+                             "' changed the data type in produce()");
+    }
+  }
+  return true;
+}
+
+inline void ProcessingGraph::announce(ComponentId producer, const Entry& e,
+                                      const Sample& sample) {
+  if (active_recorder_ != nullptr) {
+    record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
+  }
+  if (plan_->instrumented && obs_->tracer) bind_span(producer, e, sample);
+  if (sentry_ != nullptr) sentry_->on_emit(sample);
+}
+
+void ProcessingGraph::bind_span(ComponentId producer, const Entry& e,
+                                const Sample& sample) {
+  // Flow tracing: bind the sample to the span it was produced under. An
+  // emission during dispatch belongs to the producer's open on_input span;
+  // an external push (a source) gets an instantaneous root span of its own.
+  obs::TraceRecorder& tracer = *obs_->tracer;
+  std::uint64_t span = current_span_;
+  if (span == 0) {
+    span = tracer.open(std::string(e.component->kind()) + ".emit", producer,
+                       producer, sample.sequence, 0);
+    tracer.close(span);
+  }
+  tracer.bind_sample(producer, sample.sequence, span);
+}
+
+void ProcessingGraph::retire(const Entry& e, const Sample& dying) {
+  // The component's own on_input may still be reading the input that the
+  // claimed provenance buffer now stores (see deliver_top()); hold the
+  // buffer until that delivery ends rather than let the arena recycle it.
+  if (e.current_input != nullptr && dying.inputs != nullptr &&
+      !dying.inputs->empty() && &dying.inputs->back() == e.current_input) {
+    held_ = dying.inputs;
+    return;
+  }
+  arena_->harvest(dying.inputs);
+}
+
+void ProcessingGraph::enqueue(Sample&& sample, std::uint32_t node) {
+  const Plan::Node& n = plan_->nodes[node];
   const std::uint32_t* consumers = plan_->edges.data() + n.edge_begin;
+  // Insert this emission's delivery block at the current frame base. Blocks
+  // of later emissions within the same on_input (or hook) frame land below
+  // earlier ones, and within a block consumers are laid out in reverse, so
+  // the LIFO drain visits everything in depth-first order: emissions in
+  // emit order, each fully propagated through its consumer subtree before
+  // the next, consumers in connection order.
+  const auto base = dispatch_stack_.begin() +
+                    static_cast<std::ptrdiff_t>(current_frame_base_);
   if (n.edge_count == 1) {
     if (current_frame_base_ == dispatch_stack_.size()) {
       // First emission of this frame: the insert point is the top, so
       // skip vector::insert's shifting machinery entirely.
       PendingDelivery& slot = dispatch_stack_.emplace_back();
       slot.sample = std::move(sample);
-      slot.consumer = static_cast<ComponentId>(consumers[0]);
+      slot.node = consumers[0];
       return;
     }
-    dispatch_stack_.insert(
-        dispatch_stack_.begin() +
-            static_cast<std::ptrdiff_t>(current_frame_base_),
-        PendingDelivery{std::move(sample), static_cast<ComponentId>(
-                                               consumers[0])});
+    dispatch_stack_.insert(base, PendingDelivery{std::move(sample),
+                                                 consumers[0]});
     return;
   }
-  const auto base = dispatch_stack_.begin() +
-                    static_cast<std::ptrdiff_t>(current_frame_base_);
   std::vector<PendingDelivery> block;
   block.reserve(n.edge_count);
   for (std::uint32_t i = n.edge_count; i-- > 1;) {
-    block.push_back(
-        PendingDelivery{sample, static_cast<ComponentId>(consumers[i])});
+    block.push_back(PendingDelivery{sample, consumers[i]});
   }
-  block.push_back(PendingDelivery{std::move(sample),
-                                  static_cast<ComponentId>(consumers[0])});
+  block.push_back(PendingDelivery{std::move(sample), consumers[0]});
   dispatch_stack_.insert(base, std::make_move_iterator(block.begin()),
                          std::make_move_iterator(block.end()));
 }
 
-void ProcessingGraph::frozen_drain() {
+void ProcessingGraph::drain() {
   dispatching_ = true;
   drain_cascade_ = 0;
   try {
-    while (!dispatch_stack_.empty()) {
-      frozen_deliver_top();
-    }
+    while (!dispatch_stack_.empty()) deliver_top();
   } catch (...) {
+    // Abandoned sibling deliveries are dropped and the graph is
+    // dispatchable again.
     dispatch_stack_.clear();
     current_frame_base_ = 0;
     dispatching_ = false;
@@ -1368,87 +1276,160 @@ void ProcessingGraph::frozen_drain() {
   dispatching_ = false;
 }
 
-/// Deliver the top of the dispatch stack, consuming the sample in place:
-/// one move (stack slot -> pending_inputs or the plan's scratch) instead
-/// of the pop-into-a-local round trip. Falls back to frozen_deliver()
-/// when consume hooks might run or the sanitizer wants cascade counts —
-/// both can emit or throw while the slot reference is still live.
-void ProcessingGraph::frozen_deliver_top() {
-  FrozenPlan& plan = *plan_;
+/// Deliver the top of the dispatch stack. An uninstrumented delivery to a
+/// featureless consumer with no sentry installed consumes the sample in
+/// place: one move (stack slot -> pending_inputs or the plan's scratch).
+/// Otherwise the sentry, consume hooks or instrumentation run first, and
+/// since they may emit while the sample is in flight, it moves off the
+/// stack before they do.
+void ProcessingGraph::deliver_top() {
+  Plan& plan = *plan_;
+  Obs* const obs = obs_.get();
   PendingDelivery& top = dispatch_stack_.back();
-  const std::uint32_t node_index = static_cast<std::uint32_t>(top.consumer);
-  FrozenPlan::Node& n = plan.nodes[node_index];
-  if (n.feat_count != 0 || sentry_ != nullptr) {
-    PendingDelivery next = std::move(top);
-    dispatch_stack_.pop_back();
-    frozen_deliver(std::move(next.sample), node_index);
-    return;
-  }
+  Plan::Node& n = plan.nodes[top.node];
   Entry& c = *n.entry;
-  Sample& sample = top.sample;
-
-  const TypeInfo* const sample_type = sample.payload.type();
-  bool accepted = false;
-  const Entry::CompiledRequirement* reqs = plan.reqs.data() + n.req_begin;
-  for (std::uint32_t i = 0; i < n.req_count; ++i) {
-    const Entry::CompiledRequirement& r = reqs[i];
-    if (r.origin == sample.origin && (r.any_type || r.type == sample_type)) {
-      accepted = true;
-      break;
+  // Accept check against the compiled requirements: two integer compares
+  // per requirement, no vector materialization, no string compare.
+  if (!plan.accepts(n, top.sample)) {
+    if (plan.metrics) {
+      obs->handles(c, n.id).rejected->inc();
+      obs->rejections_total->inc();
     }
-  }
-  if (!accepted) {
-    if (n.rejected != nullptr) {
-      n.rejected->inc();
-      plan.rejections_total->inc();
-    }
-    plan.harvest(sample);
+    arena_->harvest(top.sample.inputs);
     dispatch_stack_.pop_back();
     return;
+  }
+
+  // One dispatch frame covers everything this delivery triggers: emissions
+  // made by consume hooks and by on_input both insert their delivery
+  // blocks at this base, so they drain immediately after this delivery —
+  // before any previously-pending delivery (e.g. to the emitter's other
+  // consumers). Consume-hook emissions enqueue first and therefore pop
+  // first (later blocks at the same base land below earlier ones), then
+  // on_input emissions, each in emit order.
+  const std::size_t saved_frame_base = current_frame_base_;
+  const bool hooked = !n.deliver_in_place || sentry_ != nullptr;
+  Sample* sample = &top.sample;
+  if (hooked) {
+    plan.scratch = std::move(top.sample);
+    dispatch_stack_.pop_back();
+    sample = &plan.scratch;
+    if (sentry_ != nullptr) {
+      sentry_->on_deliver(*sample, n.id, dispatch_stack_.size(),
+                          ++drain_cascade_);
+    }
+    current_frame_base_ = dispatch_stack_.size();
+    // Consume hooks mutate the delivered sample in place (the emitter
+    // queued one copy per consumer).
+    const bool timing = plan.instrumented && obs->config.timing;
+    const TypeInfo* const original_type = sample->payload.type();
+    ComponentFeature* const* feats = plan.features.data() + n.feat_begin;
+    for (std::uint32_t i = 0; i < n.feat_count; ++i) {
+      ComponentFeature& f = *feats[i];
+      bool keep = false;
+      if (timing) {
+        const double t0 = now_wall_us();
+        keep = f.consume(*sample);
+        obs->handles(c, n.id, f).consume_us->observe(now_wall_us() - t0);
+      } else {
+        keep = f.consume(*sample);
+      }
+      if (!keep) {
+        // Emissions already made by earlier hooks stay queued.
+        if (plan.metrics) obs->handles(c, n.id).consume_vetoed->inc();
+        current_frame_base_ = saved_frame_base;
+        arena_->harvest(plan.scratch.inputs);
+        plan.scratch = Sample();
+        return;
+      }
+      if (sample->payload.type() != original_type) {
+        current_frame_base_ = saved_frame_base;
+        throw std::logic_error("feature '" + std::string(f.name()) +
+                               "' changed the data type in consume()");
+      }
+    }
   }
 
   ++deliveries_;
-  if (n.delivered != nullptr) {
-    n.delivered->inc();
-    plan.deliveries_total->inc();
+  if (plan.metrics) {
+    obs->handles(c, n.id).delivered->inc();
+    obs->deliveries_total->inc();
   }
+  const ComponentId sample_producer = sample->producer;
+  const std::uint64_t sample_sequence = sample->sequence;
   if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kDeliver, n.id, sample.producer,
-                  sample.sequence);
+    record_flight(obs::FlightEventType::kDeliver, n.id, sample_producer,
+                  sample_sequence);
   }
-  const ComponentId sample_producer = sample.producer;
-  const std::uint64_t sample_sequence = sample.sequence;
-  const Sample* input;
+  // Record provenance only for components that can emit; pure sinks
+  // (applications) would otherwise accumulate pending inputs forever. The
+  // running sequence range feeds Sample::cached_seq_min/max at emit time.
+  // The sample moves into pending and the component reads the stored
+  // element; the reference stays valid across a nested emission claiming
+  // the pending batch (vector::swap exchanges storage without moving
+  // elements, and retire() holds a claimed buffer whose emission dies
+  // before this delivery ends). No reallocation can invalidate it either:
+  // further push_backs to this component's pending require another
+  // delivery to it, and deliveries only start from the drain loop, never
+  // inside on_input.
+  const Sample* input = &plan.scratch;
   if (n.records_provenance) {
-    if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
-      c.pending_seq_min = sample.sequence;
+    if (c.pending_seq_min == 0 || sample_sequence < c.pending_seq_min) {
+      c.pending_seq_min = sample_sequence;
     }
-    if (sample.sequence > c.pending_seq_max) {
-      c.pending_seq_max = sample.sequence;
+    if (sample_sequence > c.pending_seq_max) {
+      c.pending_seq_max = sample_sequence;
     }
-    if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
-                                    sample.ingest_us < c.pending_ingest_min)) {
-      c.pending_ingest_min = sample.ingest_us;
+    if (sample->ingest_us != 0.0 &&
+        (c.pending_ingest_min == 0.0 ||
+         sample->ingest_us < c.pending_ingest_min)) {
+      c.pending_ingest_min = sample->ingest_us;
     }
-    // See frozen_deliver() for why the stored element stays valid across
-    // nested emissions claiming the pending batch.
-    c.pending_inputs.push_back(std::move(sample));
+    c.pending_inputs.push_back(std::move(*sample));
     input = &c.pending_inputs.back();
-  } else {
-    plan.scratch = std::move(sample);
-    input = &plan.scratch;
+  } else if (!hooked) {
+    plan.scratch = std::move(*sample);
   }
-  dispatch_stack_.pop_back();
+  if (!hooked) {
+    dispatch_stack_.pop_back();
+    current_frame_base_ = dispatch_stack_.size();
+  }
 
-  // Same frame discipline as deliver(): everything this delivery triggers
-  // inserts at this base and drains before previously-pending deliveries.
-  const std::size_t saved_frame_base = current_frame_base_;
-  current_frame_base_ = dispatch_stack_.size();
+  const std::uint64_t saved_span = current_span_;
+  std::uint64_t span = 0;
+  double t0 = 0.0;
+  if (plan.instrumented) {
+    // Open the flow span for this delivery: its parent is the span under
+    // which the sample was emitted, so span ancestry == provenance chain.
+    if (obs->tracer) {
+      const std::uint64_t parent =
+          obs->tracer->span_for_sample(sample_producer, sample_sequence);
+      span = obs->tracer->open(std::string(n.component->kind()) + ".on_input",
+                               n.id, sample_producer, sample_sequence, parent);
+      current_span_ = span;
+    }
+    // End-to-end latency is observed when the sample *arrives* at a sink:
+    // ingest→sink covers every upstream hop but not the sink's own
+    // on_input (that is what on_input_us measures). The delivery span
+    // doubles as the histogram exemplar, linking an SLO-busting bucket to
+    // its trace.
+    if (obs->config.latency && n.edge_count == 0 && input->ingest_us != 0.0) {
+      ComponentMetricHandles& h = obs->handles(c, n.id);
+      if (h.e2e_latency_us != nullptr) {
+        const double e2e = now_wall_us() - input->ingest_us;
+        h.e2e_latency_us->observe_with_exemplar(e2e, span);
+        if (h.deadline_miss != nullptr && e2e > obs->config.latency_slo_us) {
+          h.deadline_miss->inc();
+        }
+      }
+    }
+    if (obs->config.timing) t0 = now_wall_us();
+  }
 
   // While on_input runs, pull the likely next hop into cache: a relay's
   // emission immediately dispatches to its first consumer.
   if (n.edge_count != 0) {
-    const FrozenPlan::Node& next = plan.nodes[plan.edges[n.edge_begin]];
+    const Plan::Node& next = plan.nodes[plan.edges[n.edge_begin]];
     __builtin_prefetch(&next, 0, 3);
     __builtin_prefetch(next.entry, 1, 3);
   }
@@ -1459,6 +1440,9 @@ void ProcessingGraph::frozen_deliver_top() {
   } catch (...) {
     c.current_input = saved;
     current_frame_base_ = saved_frame_base;
+    held_.reset();
+    if (span != 0) obs->tracer->close(span);
+    current_span_ = saved_span;
     if (active_recorder_ != nullptr) {
       record_flight(obs::FlightEventType::kTaskFailed, n.id, sample_producer,
                     sample_sequence, current_exception_message());
@@ -1467,449 +1451,114 @@ void ProcessingGraph::frozen_deliver_top() {
   }
   c.current_input = saved;
   current_frame_base_ = saved_frame_base;
-  plan.check_watch(n);
+  if (held_ != nullptr) {
+    arena_->harvest(held_);
+    held_.reset();
+  }
+  if (plan.instrumented) {
+    if (obs->config.timing) {
+      obs->handles(c, n.id).on_input_us->observe(now_wall_us() - t0);
+    }
+    if (span != 0) obs->tracer->close(span);
+    current_span_ = saved_span;
+  }
+  // The previous delivery's watched buffer is released if on_input just
+  // dropped the retention (a latest-value sink replacing its stored fix).
+  arena_->check_watch(c);
   if (!n.records_provenance) {
-    // The consumed sample dies here, exactly where the pop-into-a-local
-    // variant would destroy it.
-    plan.harvest_or_watch(plan.scratch, n);
+    // The consumed sample dies here; when it was the sink-side head of a
+    // provenance chain its buffer just became reusable — or, still
+    // retained by the component, becomes its watched slot.
+    arena_->harvest_or_watch(plan.scratch.inputs, c);
     plan.scratch = Sample();
   }
 }
 
-void ProcessingGraph::frozen_emit_from(ComponentId producer, Payload payload,
-                                       OriginId origin) {
-  FrozenPlan& plan = *plan_;
-  if (producer >= plan.dense_of.size() ||
-      plan.dense_of[producer] == FrozenPlan::kNoNode) {
-    throw std::invalid_argument("unknown component id");
-  }
-  const std::uint32_t node_index = plan.dense_of[producer];
-  FrozenPlan::Node& n = plan.nodes[node_index];
+void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
+                                OriginId origin) {
+  if (plan_stale_) lower();
+  Plan& plan = *plan_;
+  const std::uint32_t node = plan.node_of(producer);
+  const Plan::Node& n = plan.nodes[node];
   Entry& e = *n.entry;
+  const sim::SimTime now =
+      clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
 
-  if (n.feat_count == 0 && n.edge_count == 1 &&
-      current_frame_base_ == dispatch_stack_.size()) {
-    // Hot path for a featureless single-consumer emission opening its
-    // frame (every hop of a straight pipeline): build the sample directly
-    // in its dispatch-stack slot, skipping the local-then-enqueue move.
-    // No produce hook can veto or emit while the slot reference is live.
+  if (n.emit_in_place && current_frame_base_ == dispatch_stack_.size()) {
+    // Hot path for an uninstrumented, featureless single-consumer emission
+    // opening its frame (every hop of a straight pipeline): build the
+    // sample directly in its dispatch-stack slot, skipping the
+    // local-then-enqueue move. No produce hook can veto or emit while the
+    // slot reference is live.
     PendingDelivery& slot = dispatch_stack_.emplace_back();
-    slot.consumer = static_cast<ComponentId>(plan.edges[n.edge_begin]);
-    Sample& sample = slot.sample;
+    slot.node = plan.edges[n.edge_begin];
     try {
-      sample.payload = std::move(payload);
-      sample.timestamp =
-          clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-      sample.producer = producer;
-      sample.sequence = ++e.sequence;
-      sample.origin = origin;
-      frozen_stamp_provenance(e, sample);
+      fill_emission(slot.sample, e, producer, std::move(payload), origin, now);
       ++e.emitted;
-      if (n.emitted != nullptr) n.emitted->inc();
-      if (active_recorder_ != nullptr) {
-        record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-      }
-      if (sentry_ != nullptr) sentry_->on_emit(sample);
+      if (plan.metrics) obs_->handles(e, producer).emitted->inc();
+      announce(producer, e, slot.sample);
     } catch (...) {
       dispatch_stack_.pop_back();
       throw;
     }
-    if (!dispatching_) frozen_drain();
+    if (!dispatching_) drain();
     return;
   }
 
   Sample sample;
-  sample.payload = std::move(payload);
-  sample.timestamp = clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-  sample.producer = producer;
-  sample.sequence = ++e.sequence;
-  sample.origin = origin;
-  frozen_stamp_provenance(e, sample);
-
-  if (n.feat_count != 0) {
-    const TypeInfo* original_type = sample.payload.type();
-    ComponentFeature* const* feats = plan.features.data() + n.feat_begin;
-    for (std::uint32_t i = 0; i < n.feat_count; ++i) {
-      if (!feats[i]->produce(sample)) {
-        if (n.produce_vetoed != nullptr) n.produce_vetoed->inc();
-        plan.harvest(sample);
-        return;
-      }
-      if (sample.payload.type() != original_type) {
-        throw std::logic_error("feature '" + std::string(feats[i]->name()) +
-                               "' changed the data type in produce()");
-      }
-    }
-  }
+  fill_emission(sample, e, producer, std::move(payload), origin, now);
+  if (!run_produce_hooks(node, sample)) return;
   ++e.emitted;
-  if (n.emitted != nullptr) n.emitted->inc();
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-  }
-  if (sentry_ != nullptr) sentry_->on_emit(sample);
-
-  frozen_enqueue(std::move(sample), node_index);
-  if (!dispatching_) frozen_drain();
-}
-
-void ProcessingGraph::frozen_emit_batch_from(ComponentId producer,
-                                             std::vector<Payload> payloads,
-                                             OriginId origin) {
-  FrozenPlan& plan = *plan_;
-  if (producer >= plan.dense_of.size() ||
-      plan.dense_of[producer] == FrozenPlan::kNoNode) {
-    throw std::invalid_argument("unknown component id");
-  }
-  const std::uint32_t node_index = plan.dense_of[producer];
-  FrozenPlan::Node& n = plan.nodes[node_index];
-  Entry& e = *n.entry;
-
-  // One dispatch frame for the whole burst, exactly like emit_batch_from.
-  const bool was_dispatching = dispatching_;
-  dispatching_ = true;
-  std::uint64_t emitted_in_batch = 0;
-  try {
-    const sim::SimTime now =
-        clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-    for (Payload& payload : payloads) {
-      Sample sample;
-      sample.payload = std::move(payload);
-      sample.timestamp = now;
-      sample.producer = producer;
-      sample.sequence = ++e.sequence;
-      sample.origin = origin;
-      frozen_stamp_provenance(e, sample);
-
-      bool vetoed = false;
-      if (n.feat_count != 0) {
-        const TypeInfo* original_type = sample.payload.type();
-        ComponentFeature* const* feats = plan.features.data() + n.feat_begin;
-        for (std::uint32_t i = 0; i < n.feat_count; ++i) {
-          if (!feats[i]->produce(sample)) {
-            if (n.produce_vetoed != nullptr) n.produce_vetoed->inc();
-            plan.harvest(sample);
-            vetoed = true;
-            break;
-          }
-          if (sample.payload.type() != original_type) {
-            throw std::logic_error("feature '" +
-                                   std::string(feats[i]->name()) +
-                                   "' changed the data type in produce()");
-          }
-        }
-      }
-      if (vetoed) continue;
-      ++e.emitted;
-      ++emitted_in_batch;
-      if (active_recorder_ != nullptr) {
-        record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-      }
-      if (sentry_ != nullptr) sentry_->on_emit(sample);
-      frozen_enqueue(std::move(sample), node_index);
-    }
-  } catch (...) {
-    dispatching_ = was_dispatching;
-    if (emitted_in_batch > 0 && n.emitted != nullptr) {
-      n.emitted->inc(emitted_in_batch);
-    }
-    if (!was_dispatching) {
-      dispatch_stack_.clear();
-      current_frame_base_ = 0;
-    }
-    throw;
-  }
-  dispatching_ = was_dispatching;
-  if (emitted_in_batch > 0 && n.emitted != nullptr) {
-    n.emitted->inc(emitted_in_batch);
-  }
-  if (!was_dispatching) frozen_drain();
-}
-
-void ProcessingGraph::frozen_deliver(Sample&& sample,
-                                     std::uint32_t node_index) {
-  FrozenPlan& plan = *plan_;
-  FrozenPlan::Node& n = plan.nodes[node_index];
-  Entry& c = *n.entry;
-
-  const TypeInfo* const sample_type = sample.payload.type();
-  bool accepted = false;
-  const Entry::CompiledRequirement* reqs = plan.reqs.data() + n.req_begin;
-  for (std::uint32_t i = 0; i < n.req_count; ++i) {
-    const Entry::CompiledRequirement& r = reqs[i];
-    if (r.origin == sample.origin && (r.any_type || r.type == sample_type)) {
-      accepted = true;
-      break;
-    }
-  }
-  if (!accepted) {
-    if (n.rejected != nullptr) {
-      n.rejected->inc();
-      plan.rejections_total->inc();
-    }
-    plan.harvest(sample);
+  if (plan.metrics) obs_->handles(e, producer).emitted->inc();
+  announce(producer, e, sample);
+  if (n.edge_count == 0) {
+    retire(e, sample);
     return;
   }
-  if (sentry_ != nullptr) {
-    sentry_->on_deliver(sample, n.id, dispatch_stack_.size(),
-                        ++drain_cascade_);
-  }
-
-  // Same frame discipline as deliver(): everything this delivery triggers
-  // inserts at this base and drains before previously-pending deliveries.
-  const std::size_t saved_frame_base = current_frame_base_;
-  current_frame_base_ = dispatch_stack_.size();
-
-  if (n.feat_count != 0) {
-    const TypeInfo* original_type = sample_type;
-    ComponentFeature* const* feats = plan.features.data() + n.feat_begin;
-    for (std::uint32_t i = 0; i < n.feat_count; ++i) {
-      if (!feats[i]->consume(sample)) {
-        if (n.consume_vetoed != nullptr) n.consume_vetoed->inc();
-        current_frame_base_ = saved_frame_base;
-        plan.harvest(sample);
-        return;
-      }
-      if (sample.payload.type() != original_type) {
-        current_frame_base_ = saved_frame_base;
-        throw std::logic_error("feature '" + std::string(feats[i]->name()) +
-                               "' changed the data type in consume()");
-      }
-    }
-  }
-
-  ++deliveries_;
-  if (n.delivered != nullptr) {
-    n.delivered->inc();
-    plan.deliveries_total->inc();
-  }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kDeliver, n.id, sample.producer,
-                  sample.sequence);
-  }
-  const ComponentId sample_producer = sample.producer;
-  const std::uint64_t sample_sequence = sample.sequence;
-  if (n.records_provenance) {
-    if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
-      c.pending_seq_min = sample.sequence;
-    }
-    if (sample.sequence > c.pending_seq_max) {
-      c.pending_seq_max = sample.sequence;
-    }
-    if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
-                                    sample.ingest_us < c.pending_ingest_min)) {
-      c.pending_ingest_min = sample.ingest_us;
-    }
-    // The interpreted path copies into pending and hands the component the
-    // local; the frozen path moves into pending and hands the component
-    // the stored element. Identical values, one Sample copy less. The
-    // reference stays valid across a nested emission claiming the pending
-    // batch: vector::swap exchanges storage without moving elements, and
-    // the claimed buffer outlives this delivery on the dispatch stack.
-    // No reallocation can invalidate it either — further push_backs to
-    // this component's pending require another delivery to it, and
-    // deliveries only start from the drain loop, never inside on_input.
-    c.pending_inputs.push_back(std::move(sample));
-  }
-  const Sample& input =
-      n.records_provenance ? c.pending_inputs.back() : sample;
-
-  // While on_input runs, pull the likely next hop into cache: a relay's
-  // emission immediately dispatches to its first consumer.
-  if (n.edge_count != 0) {
-    const FrozenPlan::Node& next = plan.nodes[plan.edges[n.edge_begin]];
-    __builtin_prefetch(&next, 0, 3);
-    __builtin_prefetch(next.entry, 1, 3);
-  }
-  const Sample* saved = c.current_input;
-  c.current_input = &input;
-  try {
-    n.component->on_input(input);
-  } catch (...) {
-    c.current_input = saved;
-    current_frame_base_ = saved_frame_base;
-    if (active_recorder_ != nullptr) {
-      record_flight(obs::FlightEventType::kTaskFailed, n.id, sample_producer,
-                    sample_sequence, current_exception_message());
-    }
-    throw;
-  }
-  c.current_input = saved;
-  current_frame_base_ = saved_frame_base;
-  // The previous delivery's watched buffer is released if on_input just
-  // dropped the retention (a latest-value sink replacing its stored fix).
-  plan.check_watch(n);
-  // The local sample dies here; when it was the sink-side head of a
-  // provenance chain its buffer just became reusable — or, still
-  // retained by the component, becomes this node's watched slot. (With
-  // provenance recorded, the sample moved into pending_inputs and this
-  // is a no-op.)
-  plan.harvest_or_watch(sample, n);
-}
-
-void ProcessingGraph::emit_from(ComponentId producer, Payload payload,
-                                OriginId origin) {
-  if (plan_ != nullptr) {
-    frozen_emit_from(producer, std::move(payload), origin);
-    return;
-  }
-  Entry& e = entry(producer);
-
-  Sample sample;
-  sample.payload = std::move(payload);
-  sample.timestamp = clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
-  sample.producer = producer;
-  sample.sequence = ++e.sequence;
-  sample.origin = origin;
-  stamp_provenance(e, sample);
-
-  Obs* const obs = obs_.get();
-  const bool timing = obs != nullptr && obs->config.timing;
-
-  // Latency tracking: a root emission (no inherited ingest stamp) marks the
-  // moment its data entered the graph; sinks subtract this in deliver().
-  if (obs != nullptr && obs->config.latency && sample.ingest_us == 0.0) {
-    sample.ingest_us = now_wall_us();
-  }
-
-  // Produce hooks of the producing component's features. A hook may modify
-  // the sample but not its data type; returning false drops the emission.
-  const TypeInfo* original_type = sample.payload.type();
-  for (const auto& f : e.features) {
-    bool keep = false;
-    if (timing) {
-      const double t0 = now_wall_us();
-      keep = f->produce(sample);
-      obs->handles(e, producer, *f).produce_us->observe(now_wall_us() - t0);
-    } else {
-      keep = f->produce(sample);
-    }
-    if (!keep) {
-      if (obs != nullptr && obs->config.metrics) {
-        obs->handles(e, producer).produce_vetoed->inc();
-      }
-      return;
-    }
-    if (sample.payload.type() != original_type) {
-      throw std::logic_error("feature '" + std::string(f->name()) +
-                             "' changed the data type in produce()");
-    }
-  }
-  ++e.emitted;
-  if (obs != nullptr && obs->config.metrics) {
-    obs->handles(e, producer).emitted->inc();
-  }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
-  }
-
-  // Flow tracing: bind the sample to the span it was produced under. An
-  // emission during dispatch belongs to the producer's open on_input span;
-  // an external push (a source) gets an instantaneous root span of its own.
-  if (obs != nullptr && obs->tracer) {
-    obs::TraceRecorder& tracer = *obs->tracer;
-    std::uint64_t span = current_span_;
-    if (span == 0) {
-      span = tracer.open(std::string(e.component->kind()) + ".emit", producer,
-                         producer, sample.sequence, 0);
-      tracer.close(span);
-    }
-    tracer.bind_sample(producer, sample.sequence, span);
-  }
-  if (sentry_ != nullptr) sentry_->on_emit(sample);
-
-  enqueue_deliveries(std::move(sample), e);
-  if (!dispatching_) drain_dispatch_stack();
+  enqueue(std::move(sample), node);
+  if (!dispatching_) drain();
 }
 
 void ProcessingGraph::emit_batch_from(ComponentId producer,
                                       std::vector<Payload> payloads,
                                       OriginId origin) {
   if (payloads.empty()) return;
-  if (plan_ != nullptr) {
-    frozen_emit_batch_from(producer, std::move(payloads), origin);
-    return;
-  }
-  Entry& e = entry(producer);
-
-  // The cached obs pointer and flags cannot go stale mid-burst: toggling
-  // observability is rejected while dispatching_ is set (and it is set for
-  // the whole batch, below). The emitted handle is still re-resolved at
-  // inc time rather than cached across the hooks, so the accounting stays
-  // correct even if that guard is ever relaxed.
-  Obs* const obs = obs_.get();
-  const bool timing = obs != nullptr && obs->config.timing;
-  const bool metrics = obs != nullptr && obs->config.metrics;
-  const bool latency = obs != nullptr && obs->config.latency;
+  if (plan_stale_) lower();
+  Plan& plan = *plan_;
+  const std::uint32_t node = plan.node_of(producer);
+  const Plan::Node& n = plan.nodes[node];
+  Entry& e = *n.entry;
 
   // Treat the burst as one dispatch frame: deliveries accumulate on the
   // work stack and drain once at the end, in exactly the order N
-  // individual emit calls would have produced (see enqueue_deliveries).
+  // individual emit calls would have produced (see enqueue()).
   const bool was_dispatching = dispatching_;
   dispatching_ = true;
   std::uint64_t emitted_in_batch = 0;
+  const auto count_emitted = [&] {
+    if (emitted_in_batch > 0 && plan.metrics) {
+      obs_->handles(e, producer).emitted->inc(emitted_in_batch);
+    }
+  };
   try {
     const sim::SimTime now =
         clock_ != nullptr ? clock_->now() : sim::SimTime::zero();
     for (Payload& payload : payloads) {
       Sample sample;
-      sample.payload = std::move(payload);
-      sample.timestamp = now;
-      sample.producer = producer;
-      sample.sequence = ++e.sequence;
-      sample.origin = origin;
-      stamp_provenance(e, sample);
-      if (latency && sample.ingest_us == 0.0) {
-        sample.ingest_us = now_wall_us();
-      }
-
-      const TypeInfo* original_type = sample.payload.type();
-      bool vetoed = false;
-      for (const auto& f : e.features) {
-        bool keep = false;
-        if (timing) {
-          const double t0 = now_wall_us();
-          keep = f->produce(sample);
-          obs->handles(e, producer, *f)
-              .produce_us->observe(now_wall_us() - t0);
-        } else {
-          keep = f->produce(sample);
-        }
-        if (!keep) {
-          if (metrics) obs->handles(e, producer).produce_vetoed->inc();
-          vetoed = true;
-          break;
-        }
-        if (sample.payload.type() != original_type) {
-          throw std::logic_error("feature '" + std::string(f->name()) +
-                                 "' changed the data type in produce()");
-        }
-      }
-      if (vetoed) continue;
+      fill_emission(sample, e, producer, std::move(payload), origin, now);
+      if (!run_produce_hooks(node, sample)) continue;
       ++e.emitted;
       ++emitted_in_batch;
-      if (active_recorder_ != nullptr) {
-        record_flight(obs::FlightEventType::kEmit, producer, sample.sequence);
+      announce(producer, e, sample);
+      if (n.edge_count == 0) {
+        retire(e, sample);
+      } else {
+        enqueue(std::move(sample), node);
       }
-
-      if (obs != nullptr && obs->tracer) {
-        obs::TraceRecorder& tracer = *obs->tracer;
-        std::uint64_t span = current_span_;
-        if (span == 0) {
-          span = tracer.open(std::string(e.component->kind()) + ".emit",
-                             producer, producer, sample.sequence, 0);
-          tracer.close(span);
-        }
-        tracer.bind_sample(producer, sample.sequence, span);
-      }
-      if (sentry_ != nullptr) sentry_->on_emit(sample);
-
-      enqueue_deliveries(std::move(sample), e);
     }
   } catch (...) {
     dispatching_ = was_dispatching;
-    if (emitted_in_batch > 0 && obs_ != nullptr && obs_->config.metrics) {
-      obs_->handles(e, producer).emitted->inc(emitted_in_batch);
-    }
+    count_emitted();
     if (!was_dispatching) {
       dispatch_stack_.clear();
       current_frame_base_ = 0;
@@ -1917,158 +1566,8 @@ void ProcessingGraph::emit_batch_from(ComponentId producer,
     throw;
   }
   dispatching_ = was_dispatching;
-  if (emitted_in_batch > 0 && obs_ != nullptr && obs_->config.metrics) {
-    obs_->handles(e, producer).emitted->inc(emitted_in_batch);
-  }
-  if (!was_dispatching) drain_dispatch_stack();
-}
-
-void ProcessingGraph::deliver(Sample&& sample, ComponentId consumer) {
-  Entry& c = entry(consumer);
-  Obs* const obs = obs_.get();
-  const bool metrics = obs != nullptr && obs->config.metrics;
-  const bool timing = obs != nullptr && obs->config.timing;
-
-  // Accept check against the compiled requirements: two integer compares
-  // per requirement, no vector materialization, no string compare.
-  const TypeInfo* const sample_type = sample.payload.type();
-  bool accepted = false;
-  for (const Entry::CompiledRequirement& r : c.compiled_requirements) {
-    if (r.origin == sample.origin && (r.any_type || r.type == sample_type)) {
-      accepted = true;
-      break;
-    }
-  }
-  if (!accepted) {
-    if (metrics) {
-      obs->handles(c, consumer).rejected->inc();
-      obs->rejections_total->inc();
-    }
-    return;
-  }
-  if (sentry_ != nullptr) {
-    sentry_->on_deliver(sample, consumer, dispatch_stack_.size(),
-                        ++drain_cascade_);
-  }
-
-  // One dispatch frame covers everything this delivery triggers: emissions
-  // made by consume hooks and by on_input both insert their delivery
-  // blocks at this base, so they drain immediately after this delivery —
-  // before any previously-pending delivery (e.g. to the emitter's other
-  // consumers). Consume-hook emissions enqueue first and therefore pop
-  // first (later blocks at the same base land below earlier ones), then
-  // on_input emissions, each in emit order — the relative order the old
-  // recursive dispatcher produced, which ran hook emissions before
-  // on_input even started.
-  const std::size_t saved_frame_base = current_frame_base_;
-  current_frame_base_ = dispatch_stack_.size();
-
-  // Consume hooks of the receiving component's features. The sample is
-  // owned by this delivery (the emitter queued one copy per consumer), so
-  // hooks mutate it in place — no defensive copy.
-  const TypeInfo* original_type = sample_type;
-  for (const auto& f : c.features) {
-    bool keep = false;
-    if (timing) {
-      const double t0 = now_wall_us();
-      keep = f->consume(sample);
-      obs->handles(c, consumer, *f).consume_us->observe(now_wall_us() - t0);
-    } else {
-      keep = f->consume(sample);
-    }
-    if (!keep) {
-      // Emissions already made by earlier hooks stay queued (the recursive
-      // dispatcher had delivered them before the veto, too).
-      if (metrics) obs->handles(c, consumer).consume_vetoed->inc();
-      current_frame_base_ = saved_frame_base;
-      return;
-    }
-    if (sample.payload.type() != original_type) {
-      current_frame_base_ = saved_frame_base;
-      throw std::logic_error("feature '" + std::string(f->name()) +
-                             "' changed the data type in consume()");
-    }
-  }
-
-  ++deliveries_;
-  if (metrics) {
-    obs->handles(c, consumer).delivered->inc();
-    obs->deliveries_total->inc();
-  }
-  if (active_recorder_ != nullptr) {
-    record_flight(obs::FlightEventType::kDeliver, consumer, sample.producer,
-                  sample.sequence);
-  }
-  // Record provenance only for components that can emit; pure sinks
-  // (applications) would otherwise accumulate pending inputs forever. The
-  // running sequence range feeds Sample::cached_seq_min/max at emit time.
-  if (c.records_provenance) {
-    if (c.pending_seq_min == 0 || sample.sequence < c.pending_seq_min) {
-      c.pending_seq_min = sample.sequence;
-    }
-    if (sample.sequence > c.pending_seq_max) {
-      c.pending_seq_max = sample.sequence;
-    }
-    if (sample.ingest_us != 0.0 && (c.pending_ingest_min == 0.0 ||
-                                    sample.ingest_us < c.pending_ingest_min)) {
-      c.pending_ingest_min = sample.ingest_us;
-    }
-    c.pending_inputs.push_back(sample);
-  }
-
-  // Open the flow span for this delivery: its parent is the span under
-  // which the sample was emitted, so span ancestry == provenance chain.
-  const std::uint64_t saved_span = current_span_;
-  std::uint64_t span_id = 0;
-  if (obs != nullptr && obs->tracer) {
-    const std::uint64_t parent =
-        obs->tracer->span_for_sample(sample.producer, sample.sequence);
-    span_id = obs->tracer->open(
-        std::string(c.component->kind()) + ".on_input", consumer,
-        sample.producer, sample.sequence, parent);
-    current_span_ = span_id;
-  }
-
-  // End-to-end latency is observed when the sample *arrives* at a sink:
-  // ingest→sink covers every upstream hop but not the sink's own on_input
-  // (that is what on_input_us measures). The delivery span doubles as the
-  // histogram exemplar, linking an SLO-busting bucket to its trace.
-  if (obs != nullptr && obs->config.latency && c.consumers.empty() &&
-      sample.ingest_us != 0.0) {
-    ComponentMetricHandles& h = obs->handles(c, consumer);
-    if (h.e2e_latency_us != nullptr) {
-      const double e2e = now_wall_us() - sample.ingest_us;
-      h.e2e_latency_us->observe_with_exemplar(e2e, span_id);
-      if (h.deadline_miss != nullptr && e2e > obs->config.latency_slo_us) {
-        h.deadline_miss->inc();
-      }
-    }
-  }
-  const double t0 = timing ? now_wall_us() : 0.0;
-
-  const Sample* saved = c.current_input;
-  c.current_input = &sample;
-  try {
-    c.component->on_input(sample);
-  } catch (...) {
-    c.current_input = saved;
-    current_frame_base_ = saved_frame_base;
-    if (span_id != 0 && obs_ && obs_->tracer) obs_->tracer->close(span_id);
-    current_span_ = saved_span;
-    if (active_recorder_ != nullptr) {
-      record_flight(obs::FlightEventType::kTaskFailed, consumer,
-                    sample.producer, sample.sequence,
-                    current_exception_message());
-    }
-    throw;
-  }
-  c.current_input = saved;
-  current_frame_base_ = saved_frame_base;
-  if (timing) {
-    obs->handles(c, consumer).on_input_us->observe(now_wall_us() - t0);
-  }
-  if (span_id != 0 && obs->tracer) obs->tracer->close(span_id);
-  current_span_ = saved_span;
+  count_emitted();
+  if (!was_dispatching) drain();
 }
 
 }  // namespace perpos::core

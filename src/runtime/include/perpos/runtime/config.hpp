@@ -27,7 +27,6 @@
 ///           [slo_us=<number>] [all]
 ///   health [key=value ...]
 ///   reconfig [key=value ...]
-///   plan [key=value ...]
 ///   host <host-name> <component-name>...
 ///   budget <component-name> [rate=<hz>|<lo>..<hi>] [cost_us=<n>]
 ///          [min_rate=<hz>]
@@ -51,12 +50,6 @@
 /// ConfigResult::reconfig — constructing a reconfig::LiveReconfigurator
 /// from them is the caller's choice, keeping the config layer free of a
 /// dependency on perpos::reconfig.
-///
-/// `plan` declares compiled-execution-plan policy (see PlanSettings). As
-/// with `health` and `reconfig`, the parser only records the settings in
-/// ConfigResult::plan — constructing a plan::GraphPlan and calling
-/// freeze() is the caller's choice, keeping the config layer free of a
-/// dependency on perpos::plan.
 ///
 /// `host` declares the intended deployment partition: every named
 /// component is pinned to the given host. The parser only records the
@@ -159,17 +152,6 @@ struct ReconfigSettings {
                          const ReconfigSettings&) = default;
 };
 
-/// Compiled-execution-plan policy declared by a `plan` config line.
-/// Mirror of plan::PlanOptions plus the freeze request itself (plain
-/// bools keep the config layer independent of perpos::plan; the caller
-/// builds a plan::GraphPlan from them and calls freeze() after assembly).
-struct PlanSettings {
-  bool freeze = true;         ///< Attempt verify-then-freeze after assembly.
-  bool auto_refreeze = true;  ///< Re-freeze automatically after mutations.
-
-  friend bool operator==(const PlanSettings&, const PlanSettings&) = default;
-};
-
 /// Per-component quantitative annotation from a `budget <name>` config
 /// line. Field-for-field mirror of verify::BudgetAnnotation (plain
 /// numbers keep the config layer independent of perpos::verify; the
@@ -206,8 +188,6 @@ struct ConfigResult {
   std::optional<HealthSettings> health;
   /// Set when the config contained a (valid) `reconfig` line.
   std::optional<ReconfigSettings> reconfig;
-  /// Set when the config contained a (valid) `plan` line.
-  std::optional<PlanSettings> plan;
   /// Component name -> host name, from `host` lines.
   std::map<std::string, std::string> hosts;
   /// Component name -> execution-lane name, from `lane` lines.
@@ -243,8 +223,7 @@ ConfigResult assemble_from_config(const std::string& text,
 /// `reconfig` appends a `reconfig` line with every setting. A non-null
 /// `budgets` emits one `budget` line per component with any annotation
 /// set, and a non-null `budget_defaults` a `budget *` line, so the
-/// quantitative model round-trips through export and re-parse. A non-null
-/// `plan` appends a `plan` line with every setting.
+/// quantitative model round-trips through export and re-parse.
 std::string export_config(const core::ProcessingGraph& graph,
                           const HealthSettings* health = nullptr,
                           const std::map<core::ComponentId, std::string>*
@@ -254,7 +233,6 @@ std::string export_config(const core::ProcessingGraph& graph,
                           const ReconfigSettings* reconfig = nullptr,
                           const std::map<core::ComponentId, BudgetAnnotation>*
                               budgets = nullptr,
-                          const BudgetDefaults* budget_defaults = nullptr,
-                          const PlanSettings* plan = nullptr);
+                          const BudgetDefaults* budget_defaults = nullptr);
 
 }  // namespace perpos::runtime

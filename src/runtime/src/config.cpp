@@ -354,42 +354,6 @@ ConfigResult assemble_from_config(const std::string& text,
         }
       }
       if (!bad) result.reconfig = settings;
-    } else if (verb == "plan") {
-      PlanSettings settings = result.plan.value_or(PlanSettings{});
-      bool bad = false;
-      std::string token;
-      while (ls >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-          fail("plan expects key=value tokens, got '" + token + "'");
-          bad = true;
-          break;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        double number = 0.0;
-        try {
-          std::size_t used = 0;
-          number = std::stod(value, &used);
-          if (used != value.size() || number < 0.0) {
-            throw std::invalid_argument(value);
-          }
-        } catch (const std::exception&) {
-          fail("plan " + key + ": bad number '" + value + "'");
-          bad = true;
-          break;
-        }
-        if (key == "freeze") {
-          settings.freeze = number != 0.0;
-        } else if (key == "auto_refreeze") {
-          settings.auto_refreeze = number != 0.0;
-        } else {
-          fail("unknown plan key '" + key + "'");
-          bad = true;
-          break;
-        }
-      }
-      if (!bad) result.plan = settings;
     } else if (verb == "observe") {
       obs::ObservabilityConfig cfg;
       cfg.metrics = cfg.timing = cfg.tracing = false;
@@ -546,8 +510,7 @@ std::string export_config(const core::ProcessingGraph& graph,
                           const ReconfigSettings* reconfig,
                           const std::map<core::ComponentId, BudgetAnnotation>*
                               budgets,
-                          const BudgetDefaults* budget_defaults,
-                          const PlanSettings* plan) {
+                          const BudgetDefaults* budget_defaults) {
   std::ostringstream out;
   out << "# snapshot of a live PerPos processing graph\n";
   const auto ids = graph.components();
@@ -642,10 +605,6 @@ std::string export_config(const core::ProcessingGraph& graph,
         << " history=" << reconfig->history
         << " tee_samples=" << reconfig->tee_samples
         << " probation_checks=" << reconfig->probation_checks << "\n";
-  }
-  if (plan != nullptr) {
-    out << "plan freeze=" << (plan->freeze ? 1 : 0)
-        << " auto_refreeze=" << (plan->auto_refreeze ? 1 : 0) << "\n";
   }
   return out.str();
 }

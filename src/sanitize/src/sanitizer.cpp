@@ -48,8 +48,6 @@ void GraphSanitizer::detach() {
     token = mutation_observer_token_;
     mutation_observer_token_ = 0;
   }
-  // set_sentry takes the graph's pool mutex; release ours first so a
-  // concurrent pool release cannot deadlock against the detach.
   if (graph != nullptr) {
     if (token != 0) graph->remove_mutation_observer(token);
     if (graph->sentry() == this) graph->set_sentry(nullptr);
@@ -257,14 +255,6 @@ void GraphSanitizer::on_graph_mutation(const core::GraphMutation& mutation) {
   record("PPS006", verify::Severity::kError, mutation.a, message.str(),
          "fence the graph's lanes (ExecutionEngine::fence) or drain to "
          "idle before mutating; LiveReconfigurator does this for you");
-}
-
-void GraphSanitizer::on_pool_double_release() {
-  record("PPS003", verify::Severity::kError, std::nullopt,
-         "a provenance buffer was returned to the pool twice (the duplicate "
-         "was dropped, not reused)",
-         "audit retained Sample copies for a manual release racing the "
-         "pool's weak_ptr deleter");
 }
 
 void GraphSanitizer::record(std::string rule_id, verify::Severity severity,

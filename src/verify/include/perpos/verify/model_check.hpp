@@ -19,7 +19,7 @@
 ///
 /// The PPV/PPS/PPQ rules check structure, live behaviour, and rates; the
 /// middleware's *protocols* — seq/ack/retransmit reliable links, the
-/// fence-quiesce hot-swap, the freeze/thaw plan lifecycle — are temporal:
+/// fence-quiesce hot-swap, the lowered-plan cache lifecycle — are temporal:
 /// their correctness claims quantify over every interleaving of concurrent
 /// actors. Chaos tests sample those interleavings; the checker in this file
 /// enumerates them exhaustively within a bound.

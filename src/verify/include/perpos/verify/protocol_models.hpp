@@ -31,11 +31,11 @@
 ///    no sample is lost across cutover/rollback, and the fence is always
 ///    released.
 ///
-///  - *freeze-thaw* (src/plan/graph_plan.*): the compiled-plan lifecycle —
-///    verify-then-freeze, auto-thaw on any mutation (PSL edit, hot-swap
-///    commit, rollback), optional auto-refreeze after a clean re-verify.
-///    Safety (PPM004): a frozen plan never outlives a thaw-triggering
-///    mutation (dispatch never runs a plan compiled for an older graph).
+///  - *plan-lowering* (src/core/src/graph.cpp): the lowered dispatch plan
+///    as a cache — every mutation (PSL edit, hot-swap commit, rollback)
+///    marks it stale, and dispatch re-lowers a stale plan before it runs.
+///    Safety (PPM004): dispatch never runs a plan lowered from an older
+///    graph version.
 ///
 /// Exploration that exhausts its budget is reported as PPM005 (note) —
 /// explicitly unverified, never silently clean.
@@ -58,8 +58,8 @@ enum class ModelMutant {
   /// The reconfigurator proceeds to cutover without waiting for the
   /// in-flight task to retire (unfence before quiesce completes) -> PPM003.
   kSwapUnfenceEarly,
-  /// A rollback mutation fails to thaw the frozen plan -> PPM004.
-  kPlanMissThawOnRollback,
+  /// A rollback mutation fails to mark the lowered plan stale -> PPM004.
+  kPlanMissStaleOnRollback,
 };
 
 /// CLI names, e.g. "link-no-dedupe". kNone has no name.
@@ -95,11 +95,10 @@ struct SwapModelParams {
   ModelMutant mutant = ModelMutant::kNone;
 };
 
-/// Bounds for the freeze/thaw model.
+/// Bounds for the plan-lowering model.
 struct PlanModelParams {
   int mutations = 2;   ///< Mutation events (edit / swap commit / rollback).
   int dispatches = 2;  ///< Dispatch begin/end pairs interleaved.
-  int freezes = 2;     ///< Explicit freeze() attempts.
   ModelMutant mutant = ModelMutant::kNone;
 };
 
@@ -122,7 +121,7 @@ struct ModelCheckOptions {
 };
 
 /// Run the built-in protocol models (reliable-link in both reordering and
-/// FIFO configurations, hot-swap, freeze-thaw) and render the outcomes as
+/// FIFO configurations, hot-swap, plan-lowering) and render the outcomes as
 /// PPM diagnostics in the ordinary catalog/baseline/SARIF stream:
 /// violations carry the shortest counterexample as a Diagnostic trace,
 /// budget exhaustion becomes a PPM005 note per truncated model, and clean

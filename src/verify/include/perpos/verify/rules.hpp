@@ -38,7 +38,6 @@
 /// one report can mix static and runtime findings):
 ///   PPS001  lane-ownership            error    graph driven off its lane thread
 ///   PPS002  time-regression           warning  per-channel logical time regressed
-///   PPS003  pool-double-release       error    provenance buffer released twice
 ///   PPS004  emission-depth            error    one emission cascaded past bound
 ///   PPS005  queue-watermark           warning  dispatch/lane queue depth exceeded
 ///   PPS006  mutation-during-drain     error    graph mutated with engine tasks in
@@ -62,8 +61,8 @@
 ///                                              gave up below the retry bound
 ///   PPM003  hot-swap-isolation        error    swap protocol broke isolation,
 ///                                              quiesce, or sample retention
-///   PPM004  stale-frozen-plan         error    frozen plan outlived a
-///                                              thaw-triggering mutation
+///   PPM004  stale-plan-dispatch       error    dispatch ran a plan lowered
+///                                              before a mutation
 ///   PPM005  model-budget-exhausted    note     exploration truncated; model
 ///                                              unverified, not clean
 

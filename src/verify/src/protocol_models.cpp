@@ -545,28 +545,24 @@ class SwapModel {
   SwapModelParams p_;
 };
 
-// --- Model (c): GraphPlan freeze/thaw --------------------------------------
+// --- Model (c): lowered-plan cache -----------------------------------------
 //
-// Mirrors src/plan/graph_plan.cpp:
-//   plan.freeze      = GraphPlan::freeze (verify gate nondet; arms policy)
-//   plan.thaw        = GraphPlan::thaw (disarms)
+// Mirrors src/core/src/graph.cpp:
 //   graph.mutate-*   = a PSL edit / LiveReconfigurator commit / rollback
-//                      reaching ProcessingGraph as a mutation; the core
-//                      auto-thaws via notify_mutation, then an armed plan
-//                      re-verifies incrementally and re-freezes if clean
-//   engine.dispatch  = a frozen or interpreted drain (mutations are kept
-//                      outside dispatch by the quiesce discipline — the
-//                      hot-swap model owns that interleaving)
+//                      reaching ProcessingGraph::notify_mutation, which
+//                      marks the lowered plan stale (drops plan_); rejected
+//                      during dispatch (check_not_dispatching)
+//   engine.dispatch  = emit_from / emit_batch_from: a stale plan is
+//                      re-lowered from the current graph before the drain
+//                      starts, and the drain runs on that plan
 
 struct PlanState {
-  std::uint8_t frozen = 0;
-  std::uint8_t armed = 0;          // auto-refreeze policy armed
+  std::uint8_t stale = 1;          // plan_ == nullptr (nothing lowered yet)
   std::uint8_t graph_version = 0;  // bumped by every mutation
-  std::uint8_t plan_version = 0;   // version the frozen plan was lowered from
+  std::uint8_t plan_version = 0;   // version the plan was lowered from
   std::uint8_t in_dispatch = 0;
   std::uint8_t mutations_left = 0;
   std::uint8_t dispatches_left = 0;
-  std::uint8_t freezes_left = 0;
   std::uint8_t swapped = 0;  // an un-rolled-back hot-swap commit exists
 };
 
@@ -576,46 +572,18 @@ class PlanModel {
 
   explicit PlanModel(const PlanModelParams& params) : p_(params) {}
 
-  std::string_view name() const { return "freeze-thaw"; }
+  std::string_view name() const { return "plan-lowering"; }
 
   std::vector<State> initial() const {
     State s;
     s.mutations_left = std::uint8_t(p_.mutations);
     s.dispatches_left = std::uint8_t(p_.dispatches);
-    s.freezes_left = std::uint8_t(p_.freezes);
     return {s};
   }
 
   void successors(const State& s, std::vector<Step<State>>& out) const {
-    // plan.freeze: refused mid-dispatch; the verifier verdict is nondet.
-    if (s.frozen == 0 && s.in_dispatch == 0 && s.freezes_left > 0) {
-      {
-        State n = s;
-        --n.freezes_left;
-        n.frozen = 1;
-        n.armed = 1;
-        n.plan_version = n.graph_version;
-        out.push_back({n, {"plan", "freeze: verify clean -> lower plan v" +
-                                       std::to_string(int(n.plan_version)) +
-                                       ", auto-refreeze armed"}});
-      }
-      {
-        State n = s;
-        --n.freezes_left;
-        out.push_back({n, {"plan", "freeze: verify dirty -> refused, stays "
-                                   "interpreted"}});
-      }
-    }
-    if (s.frozen != 0) {
-      State n = s;
-      n.frozen = 0;
-      n.armed = 0;
-      out.push_back({n, {"plan", "thaw: disarm auto-refreeze"}});
-    }
-
-    // graph.mutate: three mutation kinds, all of which must thaw. The
-    // quiesce discipline (checked exhaustively by the hot-swap model)
-    // keeps mutations outside dispatch.
+    // graph.mutate: three mutation kinds, all of which must mark the plan
+    // stale. Mutation during dispatch is rejected by the graph.
     if (s.mutations_left > 0 && s.in_dispatch == 0) {
       mutate(s, out, "edit", /*is_rollback=*/false, /*sets_swapped=*/false);
       mutate(s, out, "hot-swap commit", /*is_rollback=*/false,
@@ -626,14 +594,19 @@ class PlanModel {
       }
     }
 
-    // engine.dispatch: a drain against whatever plan is installed.
+    // engine.dispatch: re-lower a stale plan, then drain on it.
     if (s.in_dispatch == 0 && s.dispatches_left > 0) {
       State n = s;
       n.in_dispatch = 1;
       --n.dispatches_left;
-      out.push_back({n, {"engine", std::string("dispatch begins on the ") +
-                                       (n.frozen ? "frozen" : "interpreted") +
-                                       " path"}});
+      std::string label = "dispatch begins on plan v";
+      if (n.stale != 0) {
+        n.stale = 0;
+        n.plan_version = n.graph_version;
+        label = "stale plan re-lowered; " + label;
+      }
+      out.push_back(
+          {n, {"engine", label + std::to_string(int(n.plan_version))}});
     }
     if (s.in_dispatch != 0) {
       State n = s;
@@ -643,14 +616,13 @@ class PlanModel {
   }
 
   Violation invariant(const State& s) const {
-    if (s.frozen != 0 && s.plan_version != s.graph_version) {
-      return {"stale-frozen-plan",
-              "the graph is executing a frozen plan lowered from version " +
+    if (s.in_dispatch != 0 && s.plan_version != s.graph_version) {
+      return {"stale-plan-dispatch",
+              "dispatch is running a plan lowered from graph version " +
                   std::to_string(int(s.plan_version)) +
-                  " after a thaw-triggering mutation advanced it to "
-                  "version " +
+                  " after a mutation advanced the graph to version " +
                   std::to_string(int(s.graph_version)) +
-                  " (dispatch would use dangling node records)"};
+                  " (it would route through dangling node records)"};
     }
     return {};
   }
@@ -660,39 +632,19 @@ class PlanModel {
  private:
   void mutate(const State& s, std::vector<Step<State>>& out, const char* kind,
               bool is_rollback, bool sets_swapped) const {
-    const bool miss_thaw =
-        is_rollback && p_.mutant == ModelMutant::kPlanMissThawOnRollback;
-    State base = s;
-    --base.mutations_left;
-    ++base.graph_version;
-    if (sets_swapped) base.swapped = 1;
-    if (is_rollback) base.swapped = 0;
-    const bool was_frozen = base.frozen != 0;
-    if (!miss_thaw) base.frozen = 0;
-    const std::string label =
-        std::string("mutation (") + kind + ") -> graph v" +
-        std::to_string(int(base.graph_version)) +
-        (miss_thaw ? "; thaw MISSED (bug)"
-                   : (was_frozen ? "; auto-thaw" : ""));
-    if (!miss_thaw && base.armed != 0) {
-      // GraphPlan::on_mutation: armed plans re-verify incrementally and
-      // re-freeze when clean; a dirty report leaves it interpreted.
-      {
-        State n = base;
-        n.frozen = 1;
-        n.plan_version = n.graph_version;
-        out.push_back({n, {"graph", label + "; armed refreeze: verify "
-                                            "clean, plan v" +
-                                        std::to_string(int(n.plan_version))}});
-      }
-      {
-        State n = base;
-        out.push_back({n, {"graph", label + "; armed refreeze: verify "
-                                            "dirty, stays interpreted"}});
-      }
-      return;
-    }
-    out.push_back({base, {"graph", label}});
+    const bool miss_stale =
+        is_rollback && p_.mutant == ModelMutant::kPlanMissStaleOnRollback;
+    State n = s;
+    --n.mutations_left;
+    ++n.graph_version;
+    if (sets_swapped) n.swapped = 1;
+    if (is_rollback) n.swapped = 0;
+    if (!miss_stale) n.stale = 1;
+    out.push_back({n, {"graph", std::string("mutation (") + kind +
+                                    ") -> graph v" +
+                                    std::to_string(int(n.graph_version)) +
+                                    (miss_stale ? "; stale mark MISSED (bug)"
+                                                : "; plan marked stale")}});
   }
 
   PlanModelParams p_;
@@ -709,8 +661,8 @@ std::string_view model_mutant_name(ModelMutant mutant) noexcept {
     case ModelMutant::kLinkSkipRetransmitBound:
       return "link-skip-retransmit-bound";
     case ModelMutant::kSwapUnfenceEarly: return "swap-unfence-early";
-    case ModelMutant::kPlanMissThawOnRollback:
-      return "plan-miss-thaw-on-rollback";
+    case ModelMutant::kPlanMissStaleOnRollback:
+      return "plan-miss-stale-on-rollback";
   }
   return {};
 }
@@ -719,7 +671,7 @@ std::vector<std::string_view> model_mutant_names() {
   return {model_mutant_name(ModelMutant::kLinkNoDedupe),
           model_mutant_name(ModelMutant::kLinkSkipRetransmitBound),
           model_mutant_name(ModelMutant::kSwapUnfenceEarly),
-          model_mutant_name(ModelMutant::kPlanMissThawOnRollback)};
+          model_mutant_name(ModelMutant::kPlanMissStaleOnRollback)};
 }
 
 std::optional<ModelMutant> parse_model_mutant(
@@ -727,7 +679,7 @@ std::optional<ModelMutant> parse_model_mutant(
   for (const ModelMutant m :
        {ModelMutant::kLinkNoDedupe, ModelMutant::kLinkSkipRetransmitBound,
         ModelMutant::kSwapUnfenceEarly,
-        ModelMutant::kPlanMissThawOnRollback}) {
+        ModelMutant::kPlanMissStaleOnRollback}) {
     if (model_mutant_name(m) == name) return m;
   }
   return std::nullopt;
@@ -770,7 +722,7 @@ std::string_view model_rule_for(const mc::Outcome& outcome) noexcept {
     return "PPM002";
   }
   if (outcome.model == "hot-swap") return "PPM003";
-  if (outcome.model == "freeze-thaw") return "PPM004";
+  if (outcome.model == "plan-lowering") return "PPM004";
   return {};
 }
 
@@ -826,7 +778,7 @@ Report check_protocol_models(const ModelCheckOptions& options) {
   add(check_swap_model(swap, options.budget));
 
   PlanModelParams plan;
-  if (options.mutant == ModelMutant::kPlanMissThawOnRollback) {
+  if (options.mutant == ModelMutant::kPlanMissStaleOnRollback) {
     plan.mutant = options.mutant;
   }
   add(check_plan_model(plan, options.budget));

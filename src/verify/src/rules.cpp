@@ -1395,10 +1395,6 @@ const RuleRegistry& RuleRegistry::default_catalog() {
         "(runtime sanitizer)",
         Severity::kWarning));
     r->add(std::make_unique<RuntimeRule>(
-        "PPS003", "pool-double-release",
-        "a pooled provenance buffer was released twice (runtime sanitizer)",
-        Severity::kError));
-    r->add(std::make_unique<RuntimeRule>(
         "PPS004", "emission-depth",
         "a single external emission cascaded past the configured delivery "
         "bound (runtime sanitizer)",
@@ -1438,9 +1434,9 @@ const RuleRegistry& RuleRegistry::default_catalog() {
         "checker)",
         Severity::kError));
     r->add(std::make_unique<RuntimeRule>(
-        "PPM004", "stale-frozen-plan",
-        "the freeze/thaw model dispatched a frozen plan compiled for an "
-        "older graph version after a thaw-triggering mutation (model "
+        "PPM004", "stale-plan-dispatch",
+        "the plan-lowering model dispatched on a plan lowered from an "
+        "older graph version: a mutation did not mark it stale (model "
         "checker)",
         Severity::kError));
     r->add(std::make_unique<RuntimeRule>(
@@ -1528,9 +1524,6 @@ constexpr ExplainSketch kSketches[] = {
     {"PPS002",
      "  runtime: a producer re-emits an older timestamp / sequence on a\n"
      "  channel (clock stepped back, replayed sample)"},
-    {"PPS003",
-     "  runtime: a pooled provenance buffer's release() called twice\n"
-     "  (double free of a recycled Sample)"},
     {"PPS004",
      "  runtime: one external emission cascades through emit() chains\n"
      "  past the configured delivery-depth bound"},
@@ -1599,9 +1592,11 @@ constexpr ExplainSketch kSketches[] = {
      "  # swap-unfence-early): cutover fires while the worker still has a\n"
      "  # task in flight -> mutation-during-drain (PPS006) counterexample"},
     {"PPM004",
-     "  # freeze/thaw model, rollback thaw seeded out (--model-mutant=\n"
-     "  # plan-miss-thaw-on-rollback): freeze at graph v1, roll the swap\n"
-     "  # back without thawing -> stale-frozen-plan counterexample"},
+     "  # plan-lowering model, rollback stale mark seeded out\n"
+     "  # (--model-mutant=plan-miss-stale-on-rollback): commit a swap,\n"
+     "  # dispatch re-lowers at graph v1, roll the swap back without\n"
+     "  # marking the plan stale, dispatch again -> stale-plan-dispatch\n"
+     "  # counterexample"},
     {"PPM005",
      "  # any model with the budget forced tiny, e.g.\n"
      "  #   perpos-verify --model --model-states=10\n"

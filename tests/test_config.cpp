@@ -427,71 +427,6 @@ reconfig verify=1 history=16 tee_samples=128 probation_checks=5
   EXPECT_EQ(*second.reconfig, *first.reconfig);
 }
 
-TEST(Config, PlanDirectiveParsesSettingsAndReportsErrors) {
-  const auto registry = make_registry();
-  core::ProcessingGraph graph;
-  const auto result = rt::assemble_from_config(R"(
-component src source
-plan
-plan auto_refreeze=0
-)",
-                                               registry, graph);
-  ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(result.plan.has_value());
-  EXPECT_TRUE(result.plan->freeze);  // Bare `plan` keeps the default.
-  EXPECT_FALSE(result.plan->auto_refreeze);
-
-  core::ProcessingGraph other;
-  const auto bad = rt::assemble_from_config(R"(
-component src source
-plan melt=1
-plan freeze=maybe
-plan freeze
-)",
-                                            registry, other);
-  ASSERT_EQ(bad.errors.size(), 3u);
-  EXPECT_NE(bad.errors[0].find("unknown plan key"), std::string::npos);
-  EXPECT_NE(bad.errors[1].find("bad number"), std::string::npos);
-  EXPECT_NE(bad.errors[2].find("key=value"), std::string::npos);
-  EXPECT_FALSE(bad.plan.has_value());
-}
-
-TEST(Config, PlanRoundTripsThroughExport) {
-  const auto registry = make_registry();
-  core::ProcessingGraph graph;
-  const auto first = rt::assemble_from_config(R"(
-component src source
-component app sink
-connect src app
-plan freeze=1 auto_refreeze=0
-)",
-                                              registry, graph);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first.plan.has_value());
-
-  const std::string exported = rt::export_config(
-      graph, nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-      &*first.plan);
-  EXPECT_NE(exported.find("plan freeze=1 auto_refreeze=0"),
-            std::string::npos);
-
-  rt::ComponentFactoryRegistry by_kind;
-  by_kind.register_kind("Source", [](const auto&) {
-    return std::make_shared<core::SourceComponent>(
-        "Source", std::vector<core::DataSpec>{core::provide<Num>()});
-  });
-  by_kind.register_kind("Sink", [](const auto&) {
-    return std::make_shared<core::ApplicationSink>(
-        "Sink", std::vector<core::InputRequirement>{core::require<Num>()});
-  });
-  core::ProcessingGraph rebuilt;
-  const auto second = rt::assemble_from_config(exported, by_kind, rebuilt);
-  ASSERT_TRUE(second.errors.empty())
-      << (second.errors.empty() ? "" : second.errors[0]);
-  ASSERT_TRUE(second.plan.has_value());
-  EXPECT_EQ(*second.plan, *first.plan);
-}
-
 TEST(Config, ObserveRoundTripsThroughExport) {
   const auto registry = make_registry();
   core::ProcessingGraph graph;

@@ -191,9 +191,11 @@ TEST(ProtocolModels, HotSwapVerifiesClean) {
 }
 
 TEST(ProtocolModels, FreezeThawVerifiesClean) {
+  // The plan-lowering model: mutations mark the plan stale, dispatch
+  // re-lowers it.
   const mc::Outcome o = vfy::check_plan_model({}, mc::Budget{});
   EXPECT_EQ(o.verdict, mc::Verdict::kClean) << o.message;
-  EXPECT_EQ(o.model, "freeze-thaw");
+  EXPECT_EQ(o.model, "plan-lowering");
 }
 
 TEST(ProtocolModels, CleanRunProducesEmptyReport) {
@@ -242,10 +244,11 @@ TEST(MutationKill, UnfenceBeforeQuiesceCompletes) {
 }
 
 TEST(MutationKill, MissedThawOnRollback) {
+  // A rollback that does not mark the lowered plan stale.
   vfy::PlanModelParams params;
-  params.mutant = vfy::ModelMutant::kPlanMissThawOnRollback;
+  params.mutant = vfy::ModelMutant::kPlanMissStaleOnRollback;
   expect_kill(vfy::check_plan_model(params, mc::Budget{}),
-              "stale-frozen-plan", "PPM004");
+              "stale-plan-dispatch", "PPM004");
 }
 
 TEST(MutationKill, EveryMutantKillsThroughTheReportPipeline) {
@@ -253,7 +256,7 @@ TEST(MutationKill, EveryMutantKillsThroughTheReportPipeline) {
        {vfy::ModelMutant::kLinkNoDedupe,
         vfy::ModelMutant::kLinkSkipRetransmitBound,
         vfy::ModelMutant::kSwapUnfenceEarly,
-        vfy::ModelMutant::kPlanMissThawOnRollback}) {
+        vfy::ModelMutant::kPlanMissStaleOnRollback}) {
     vfy::ModelCheckOptions options;
     options.mutant = mutant;
     const vfy::Report report = vfy::check_protocol_models(options);

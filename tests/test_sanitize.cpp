@@ -186,19 +186,6 @@ TEST(Sanitize, BoundedCascadeIsClean) {
   EXPECT_EQ(sanitizer.violations(), 0u);
 }
 
-// --- PPS003 pool double release ----------------------------------------------
-
-TEST(Sanitize, PoolDoubleReleaseBecomesADiagnostic) {
-  core::ProcessingGraph g;
-  san::GraphSanitizer sanitizer;
-  sanitizer.attach(g);
-  // The pool reports through the sentry seam; exercise the seam directly.
-  static_cast<core::GraphSentry&>(sanitizer).on_pool_double_release();
-  const vfy::Report report = sanitizer.report();
-  ASSERT_TRUE(has_rule(report, "PPS003"));
-  EXPECT_EQ(report.by_rule("PPS003")[0]->severity, vfy::Severity::kError);
-}
-
 // --- PPS005 queue watermarks -------------------------------------------------
 
 TEST(Sanitize, EngineLaneWatermarkFires) {
@@ -361,13 +348,17 @@ TEST(Sanitize, TeardownChurnWhileFlightRecorderDumps) {
 
 TEST(Sanitize, ClearResetsFindingsAndDedupe) {
   core::ProcessingGraph g;
-  san::GraphSanitizer sanitizer;
+  san::SanitizerConfig config;
+  config.max_cascade = 1;
+  san::GraphSanitizer sanitizer(config);
   sanitizer.attach(g);
-  static_cast<core::GraphSentry&>(sanitizer).on_pool_double_release();
+  // A PPS004 finding, reported through the sentry seam directly.
+  auto& sentry = static_cast<core::GraphSentry&>(sanitizer);
+  sentry.on_deliver(core::Sample{}, 0, 0, 2);
   EXPECT_EQ(sanitizer.violations(), 1u);
   sanitizer.clear();
   EXPECT_EQ(sanitizer.violations(), 0u);
-  static_cast<core::GraphSentry&>(sanitizer).on_pool_double_release();
+  sentry.on_deliver(core::Sample{}, 0, 0, 2);
   EXPECT_EQ(sanitizer.violations(), 1u);  // Dedupe key was cleared too.
 }
 

@@ -17,7 +17,7 @@
 //
 // `--model` additionally runs the bounded explicit-state model checker
 // over the built-in protocol models (reliable-link in pipelined and
-// stop-and-wait/FIFO configurations, hot-swap, freeze/thaw). Violations
+// stop-and-wait/FIFO configurations, hot-swap, plan-lowering). Violations
 // are PPM errors carrying the shortest counterexample schedule (rendered
 // as numbered steps in text, a `trace` array in JSON, and codeFlows in
 // SARIF); exploration that exhausts the --model-states/--model-depth/

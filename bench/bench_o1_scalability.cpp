@@ -170,13 +170,15 @@ void BM_RelayBaseline(benchmark::State& state) {
 BENCHMARK(BM_RelayBaseline)->Arg(16)->Arg(64)->Arg(256);
 
 /// Same pipeline with observability on: range(1) selects the level
-/// (1 = metrics, 2 = +timing, 3 = +tracing).
+/// (1 = metrics, 2 = +timing, 3 = +tracing; 4 = metrics + flight
+/// recording, which writes two seqlocked ring events per hop).
 void BM_PipelineDepthObserved(benchmark::State& state) {
   ChainRig rig(static_cast<int>(state.range(0)));
   obs::ObservabilityConfig cfg;
   cfg.metrics = true;
-  cfg.timing = state.range(1) >= 2;
-  cfg.tracing = state.range(1) >= 3;
+  cfg.timing = state.range(1) == 2 || state.range(1) == 3;
+  cfg.tracing = state.range(1) == 3;
+  cfg.recording = state.range(1) == 4;
   rig.graph.enable_observability(cfg);
   int i = 0;
   for (auto _ : state) {
@@ -186,7 +188,8 @@ void BM_PipelineDepthObserved(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * (state.range(0) + 1)));
   state.SetLabel(state.range(1) == 1   ? "metrics"
                  : state.range(1) == 2 ? "metrics+timing"
-                                       : "metrics+timing+tracing");
+                 : state.range(1) == 3 ? "metrics+timing+tracing"
+                                       : "metrics+recording");
 }
 BENCHMARK(BM_PipelineDepthObserved)
     ->Args({16, 1})
@@ -194,7 +197,8 @@ BENCHMARK(BM_PipelineDepthObserved)
     ->Args({16, 3})
     ->Args({64, 1})
     ->Args({64, 2})
-    ->Args({64, 3});
+    ->Args({64, 3})
+    ->Args({64, 4});
 
 void BM_FanOutWidth(benchmark::State& state) {
   FanRig rig(static_cast<int>(state.range(0)));

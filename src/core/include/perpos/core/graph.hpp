@@ -37,8 +37,9 @@
 /// feature-hook tables. The plan is a cache — any mutation or
 /// observability change marks it stale and the next emission re-lowers
 /// it — so the structure stays inspectable and mutable at any time
-/// (translucency) while dispatch never walks it. Provenance buffers are
-/// recycled through a graph-owned arena that outlives re-lowering.
+/// (translucency) while dispatch never walks it. Provenance buffers carry
+/// their own deleter, which recycles them through a bounded per-thread
+/// free list and frees a provenance chain of any depth iteratively.
 ///
 /// A ProcessingGraph is single-threaded by design: all mutation and all
 /// emission must come from one thread at a time. Concurrency lives one
@@ -320,7 +321,6 @@ class ProcessingGraph {
   struct Entry;
   struct Obs;
   struct Plan;
-  struct Arena;
 
   /// One queued delivery: `sample` waiting to enter the plan node `node`.
   struct PendingDelivery {
@@ -354,7 +354,8 @@ class ProcessingGraph {
   /// announce()'s flow-tracing half, kept out of line.
   void bind_span(ComponentId producer, const Entry& e, const Sample& sample);
   /// Drop an emission that will not be delivered (vetoed, or no
-  /// consumers), offering its provenance buffer back to the arena.
+  /// consumers), holding its provenance buffer while that stores the
+  /// input the producer's on_input is still reading.
   void retire(const Entry& e, const Sample& dying);
   /// Push deliveries of `sample` to every consumer of plan node `node`
   /// onto the work stack at the current frame base.
@@ -408,9 +409,6 @@ class ProcessingGraph {
   /// emission re-lowers it in place, reusing its storage.
   std::unique_ptr<Plan> plan_;
   bool plan_stale_ = true;
-  /// Recycles the vector<Sample> buffers behind Sample::inputs across
-  /// re-lowering.
-  std::unique_ptr<Arena> arena_;
   /// A claimed provenance buffer whose emission died while the delivery
   /// whose input it stores was still running (see retire()).
   std::shared_ptr<const std::vector<Sample>> held_;

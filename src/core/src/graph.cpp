@@ -1,31 +1,129 @@
 #include "perpos/core/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <unordered_map>
-
-// TSan cannot see the happens-before edge implied by a shared_ptr use_count
-// observed at 1 plus the acquire fence the arena pairs with it, so buffer
-// reuse in the provenance arena is compiled out under TSan: every buffer
-// is freshly allocated and freed through the default deleter.
-#if defined(__SANITIZE_THREAD__)
-#define PERPOS_PLAN_NO_ARENA 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PERPOS_PLAN_NO_ARENA 1
-#endif
-#endif
-#ifndef PERPOS_PLAN_NO_ARENA
-#define PERPOS_PLAN_NO_ARENA 0
-#endif
 
 namespace perpos::core {
 
 namespace {
 
 constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// Provenance buffers — the vector<Sample> behind Sample::inputs — are
+/// recycled through a bounded per-thread free list. Every buffer the graph
+/// hands out carries a ReleaseBuffer deleter: when its last shared_ptr
+/// owner lets go, on whatever thread and whether or not its graph still
+/// exists, the deleter clears it and parks it on that thread's free list,
+/// which fill_emission() pops from. The shared_ptr count's own acq_rel
+/// decrement orders the clear after every reader.
+///
+/// The shared_ptr control blocks are recycled the same way (BlockAllocator),
+/// so a steady-state emission touches no heap.
+///
+/// Teardown is iterative: clearing a buffer destroys its samples, which
+/// may release the buffers of the chain level below. Those land on
+/// `t_unlinked` and the outermost release clears them in turn instead of
+/// recursing, so a provenance chain of any depth frees in one stack frame.
+using Buffer = std::vector<Sample>;
+
+struct BufferCache {
+  static constexpr std::size_t kMaxFree = 4096;
+  std::vector<Buffer*> free;      ///< Cleared buffers, ready for reuse.
+  std::vector<Buffer*> unlinked;  ///< Worklist of the outermost release.
+  std::vector<void*> blocks;      ///< Raw control blocks, ready for reuse.
+  ~BufferCache();
+};
+
+/// The worklist of the release in progress on this thread, if any. Like
+/// t_cache_gone it is trivially destructible, so it stays usable through
+/// thread and static teardown.
+thread_local std::vector<Buffer*>* t_unlinked = nullptr;
+/// Set once this thread's cache is destroyed: later releases delete their
+/// buffers, and later emissions allocate fresh ones.
+thread_local bool t_cache_gone = false;
+thread_local BufferCache t_cache;
+
+BufferCache::~BufferCache() {
+  t_cache_gone = true;
+  for (Buffer* buffer : free) delete buffer;  // Already cleared.
+  for (void* block : blocks) ::operator delete(block);
+}
+
+/// Clear `buffer` and every buffer that clearing releases, then park each
+/// in `cache` (delete it when there is none or it is full).
+void release_chain(Buffer* buffer, std::vector<Buffer*>& unlinked,
+                   BufferCache* cache) noexcept {
+  t_unlinked = &unlinked;
+  for (;;) {
+    buffer->clear();
+    if (cache != nullptr && cache->free.size() < BufferCache::kMaxFree) {
+      cache->free.push_back(buffer);
+    } else {
+      delete buffer;
+    }
+    if (unlinked.empty()) break;
+    buffer = unlinked.back();
+    unlinked.pop_back();
+  }
+  t_unlinked = nullptr;
+}
+
+struct ReleaseBuffer {
+  void operator()(Buffer* buffer) const noexcept {
+    if (t_unlinked != nullptr) {
+      t_unlinked->push_back(buffer);
+    } else if (t_cache_gone) {
+      std::vector<Buffer*> unlinked;
+      release_chain(buffer, unlinked, nullptr);
+    } else {
+      release_chain(buffer, t_cache.unlinked, &t_cache);
+    }
+  }
+};
+
+/// Allocator of the control blocks of acquire_buffer()'s shared_ptrs. It
+/// only ever serves that one block type, so every cached block fits.
+template <class T>
+struct BlockAllocator {
+  using value_type = T;
+  BlockAllocator() = default;
+  template <class U>
+  BlockAllocator(const BlockAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    if (n == 1 && !t_cache_gone && !t_cache.blocks.empty()) {
+      void* block = t_cache.blocks.back();
+      t_cache.blocks.pop_back();
+      return static_cast<T*>(block);
+    }
+    return static_cast<T*>(::operator new(n * sizeof(T)));
+  }
+  void deallocate(T* block, std::size_t n) noexcept {
+    if (n == 1 && !t_cache_gone &&
+        t_cache.blocks.size() < BufferCache::kMaxFree) {
+      t_cache.blocks.push_back(block);
+    } else {
+      ::operator delete(block);
+    }
+  }
+  template <class U>
+  bool operator==(const BlockAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+std::shared_ptr<Buffer> acquire_buffer() {
+  Buffer* buffer = nullptr;
+  if (!t_cache_gone && !t_cache.free.empty()) {
+    buffer = t_cache.free.back();
+    t_cache.free.pop_back();
+  } else {
+    buffer = new Buffer();
+  }
+  return std::shared_ptr<Buffer>(buffer, ReleaseBuffer{},
+                                 BlockAllocator<Buffer>{});
+}
 
 }  // namespace
 
@@ -84,11 +182,6 @@ struct ProcessingGraph::Entry {
   /// save/restore in deliver_top()); used as fallback provenance when a
   /// second emission happens after pending_inputs was consumed.
   const Sample* current_input = nullptr;
-  /// Arena slot whose buffer was still externally referenced when this
-  /// component's delivered sample died — typically a sink retaining the
-  /// latest sample. Re-checked after the next on_input, which is exactly
-  /// when a latest-value consumer drops the old retention.
-  std::uint32_t watch_slot = kNone;
 
   ComponentMetricHandles metric_handles;
   std::uint64_t metric_epoch = 0;  ///< Matches Obs::epoch when handles valid.
@@ -231,177 +324,6 @@ struct ProcessingGraph::Plan {
       }
     }
     return false;
-  }
-};
-
-/// Recycles the vector<Sample> buffers behind Sample::inputs across every
-/// plan the graph lowers. Buffers are shared, reused when their use_count
-/// drops back to 1 (only the arena holds them) — a free-list pop instead of
-/// a heap allocation per provenance-carrying emission. Slots still
-/// referenced by application-retained samples simply outlive the arena
-/// (and the graph) through shared ownership. Touched only from the
-/// dispatch thread; releases from other lanes just decrement the atomic
-/// count.
-///
-/// Free slots are discovered deterministically, because provenance
-/// chains die one level at a time and a blind ring scan almost never
-/// lands on the one slot that just became free:
-///  * harvest(): when a delivered sample is about to be destroyed and
-///    holds the last non-arena reference to its buffer (the sink-side
-///    head of a dying chain),
-///  * per-component watch slots: when the dying sample's buffer is still
-///    referenced from outside (a sink retained the sample), the component
-///    remembers the slot and re-checks it right after its next on_input —
-///    the moment a latest-value sink replaces its stored sample and the
-///    previous chain head actually becomes free,
-///  * the cascade in acquire(): clearing a reused buffer destroys its
-///    samples, which releases the chain level below it.
-/// A bounded ring scan remains as a fallback for references that die out
-/// of band (multi-sample retention, rejected fan-out copies).
-struct ProcessingGraph::Arena {
-  std::vector<std::shared_ptr<std::vector<Sample>>> slots;
-  std::vector<std::uint32_t> free_slots;
-  /// Parallel to `slots`: 1 while the slot sits in `free_slots`. Guards
-  /// against double-listing a slot that a stale watch and a harvest (or
-  /// the sweep) both notice — two holders of one buffer would corrupt it.
-  std::vector<std::uint8_t> slot_free;
-  std::size_t scan_cursor = 0;
-  static constexpr std::size_t kMaxSlots = 4096;
-  static constexpr std::size_t kMaxProbes = 64;
-
-  /// Deleter of every arena buffer: an ordinary delete that also names
-  /// the buffer's arena and slot, which std::get_deleter recovers from any
-  /// sample's `inputs` — no address-to-slot table to size or probe, and a
-  /// buffer of another graph's arena (or a one-shot fallback buffer) is
-  /// recognised as not ours.
-  struct SlotTag {
-    std::uint64_t arena = 0;
-    std::uint32_t index = kNone;
-    void operator()(std::vector<Sample>* buffer) const noexcept {
-      delete buffer;
-    }
-  };
-  /// Never reused, unlike an address: a buffer outliving its graph cannot
-  /// be mistaken for a slot of an arena later allocated at the same spot.
-  const std::uint64_t id = next_id();
-
-  static std::uint64_t next_id() noexcept {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  std::uint32_t slot_of(
-      const std::shared_ptr<const std::vector<Sample>>& buffer) const noexcept {
-    const SlotTag* tag = std::get_deleter<SlotTag>(buffer);
-    return tag != nullptr && tag->arena == id ? tag->index : kNone;
-  }
-
-  void release(std::uint32_t index) {
-    if (slot_free[index] == 0) {
-      slot_free[index] = 1;
-      free_slots.push_back(index);
-    }
-  }
-
-  /// `dying` (a sample's inputs) is about to be destroyed: if it holds the
-  /// last outside reference to an arena buffer, queue that slot for reuse.
-  /// use_count == 2 means exactly {arena, dying}; the count can only have
-  /// shrunk to 2 after every other owner released, so the slot is free the
-  /// moment `dying` goes away, and nothing can revive it — only acquire()
-  /// hands arena slots out.
-  void harvest(const std::shared_ptr<const std::vector<Sample>>& dying) {
-#if !PERPOS_PLAN_NO_ARENA
-    if (dying != nullptr && dying.use_count() == 2) {
-      const std::uint32_t slot = slot_of(dying);
-      if (slot != kNone) release(slot);
-    }
-#else
-    (void)dying;
-#endif
-  }
-
-  /// harvest(), plus: when the buffer is still referenced beyond
-  /// {arena, dying} — the consumer retained the delivered sample — park
-  /// the slot on the consumer's watch so its next delivery re-checks it.
-  void harvest_or_watch(const std::shared_ptr<const std::vector<Sample>>& dying,
-                        Entry& consumer) {
-#if !PERPOS_PLAN_NO_ARENA
-    if (dying == nullptr) return;
-    const long uses = dying.use_count();
-    const std::uint32_t slot = slot_of(dying);
-    if (slot == kNone) return;
-    if (uses == 2) {
-      release(slot);
-    } else {
-      consumer.watch_slot = slot;
-    }
-#else
-    (void)dying;
-    (void)consumer;
-#endif
-  }
-
-  /// Called after a component's on_input: if the previously watched
-  /// buffer has lost its outside references (the sink replaced its stored
-  /// latest), queue it. A watched slot cannot be handed out while still
-  /// retained (use_count > 1 defeats the sweep and it is never in
-  /// free_slots), and release() ignores slots the sweep already recovered.
-  void check_watch(Entry& consumer) {
-    if (consumer.watch_slot != kNone &&
-        slots[consumer.watch_slot].use_count() == 1) {
-      release(consumer.watch_slot);
-      consumer.watch_slot = kNone;
-    }
-  }
-
-  std::shared_ptr<std::vector<Sample>> acquire() {
-#if !PERPOS_PLAN_NO_ARENA
-    std::uint32_t index = kNone;
-    if (!free_slots.empty()) {
-      index = free_slots.back();
-      free_slots.pop_back();
-      slot_free[index] = 0;
-    } else {
-      // Clock sweep for slots whose last outside reference died invisibly
-      // (an application-retained sample being dropped, e.g. a sink
-      // replacing its stored latest fix). Those deaths have no hook, but
-      // finding just the head of a dying chain is enough: the cascade
-      // below recovers every level under it, so the sweep only needs one
-      // hit per chain, not one per buffer.
-      const std::size_t n = slots.size();
-      std::size_t probes = n < kMaxProbes ? n : kMaxProbes;
-      while (probes-- > 0) {
-        const std::size_t k = scan_cursor;
-        scan_cursor = scan_cursor + 1 == n ? 0 : scan_cursor + 1;
-        if (slots[k].use_count() == 1) {
-          index = static_cast<std::uint32_t>(k);
-          break;
-        }
-      }
-    }
-    if (index != kNone) {
-      std::shared_ptr<std::vector<Sample>>& slot = slots[index];
-      // Every sample reference is gone. Pair their releasing decrements
-      // with an acquire fence before touching the buffer's storage.
-      std::atomic_thread_fence(std::memory_order_acquire);
-      // Cascade: clearing this buffer destroys its samples, freeing the
-      // chain level each of them references (count 2 = {arena, sample}).
-      for (const Sample& s : *slot) harvest(s.inputs);
-      slot->clear();
-      return slot;
-    }
-    if (slots.size() < kMaxSlots) {
-      std::shared_ptr<std::vector<Sample>> buffer(
-          new std::vector<Sample>(),
-          SlotTag{id, static_cast<std::uint32_t>(slots.size())});
-      slots.push_back(buffer);
-      slot_free.push_back(0);
-      return buffer;
-    }
-#endif
-    // Arena exhausted (or TSan build): fall back to a one-shot buffer that
-    // is freed, not recycled, when its last sample dies.
-    return std::make_shared<std::vector<Sample>>();
   }
 };
 
@@ -558,8 +480,7 @@ void ProcessingGraph::end_notify() {
 
 ProcessingGraph::ProcessingGraph(const sim::Clock* clock)
     : clock_(clock),
-      plan_(std::make_unique<Plan>()),
-      arena_(std::make_unique<Arena>()) {}
+      plan_(std::make_unique<Plan>()) {}
 
 ProcessingGraph::~ProcessingGraph() {
   // Graph teardown: give every live component a chance to flush buffered
@@ -1128,12 +1049,12 @@ inline void ProcessingGraph::fill_emission(Sample& sample, Entry& e,
   sample.origin = origin;
   // Provenance: everything consumed since the previous emission; when that
   // was already claimed by an earlier emission in the same on_input call,
-  // fall back to the input being processed right now. Buffers come from
-  // the arena, so the steady state allocates nothing: the swap hands the
-  // accumulated samples to the outgoing buffer and leaves the (recycled)
-  // buffer's capacity behind for the next accumulation round.
+  // fall back to the input being processed right now. Buffers are
+  // recycled cleared but with their capacity, so the swap hands the
+  // accumulated samples to the outgoing buffer and leaves that capacity
+  // behind for the next accumulation round.
   if (!e.pending_inputs.empty()) {
-    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire();
+    std::shared_ptr<Buffer> buffer = acquire_buffer();
     buffer->swap(e.pending_inputs);
     sample.cached_seq_min = e.pending_seq_min;
     sample.cached_seq_max = e.pending_seq_max;
@@ -1143,7 +1064,7 @@ inline void ProcessingGraph::fill_emission(Sample& sample, Entry& e,
     e.pending_ingest_min = 0.0;
     sample.inputs = std::move(buffer);
   } else if (e.current_input != nullptr) {
-    std::shared_ptr<std::vector<Sample>> buffer = arena_->acquire();
+    std::shared_ptr<Buffer> buffer = acquire_buffer();
     buffer->push_back(*e.current_input);
     sample.cached_seq_min = e.current_input->sequence;
     sample.cached_seq_max = e.current_input->sequence;
@@ -1215,13 +1136,12 @@ void ProcessingGraph::bind_span(ComponentId producer, const Entry& e,
 void ProcessingGraph::retire(const Entry& e, const Sample& dying) {
   // The component's own on_input may still be reading the input that the
   // claimed provenance buffer now stores (see deliver_top()); hold the
-  // buffer until that delivery ends rather than let the arena recycle it.
+  // buffer until that delivery ends rather than let the dying emission
+  // release it, which would clear that input.
   if (e.current_input != nullptr && dying.inputs != nullptr &&
       !dying.inputs->empty() && &dying.inputs->back() == e.current_input) {
     held_ = dying.inputs;
-    return;
   }
-  arena_->harvest(dying.inputs);
 }
 
 void ProcessingGraph::enqueue(Sample&& sample, std::uint32_t node) {
@@ -1295,7 +1215,6 @@ void ProcessingGraph::deliver_top() {
       obs->handles(c, n.id).rejected->inc();
       obs->rejections_total->inc();
     }
-    arena_->harvest(top.sample.inputs);
     dispatch_stack_.pop_back();
     return;
   }
@@ -1338,7 +1257,6 @@ void ProcessingGraph::deliver_top() {
         // Emissions already made by earlier hooks stay queued.
         if (plan.metrics) obs->handles(c, n.id).consume_vetoed->inc();
         current_frame_base_ = saved_frame_base;
-        arena_->harvest(plan.scratch.inputs);
         plan.scratch = Sample();
         return;
       }
@@ -1451,10 +1369,7 @@ void ProcessingGraph::deliver_top() {
   }
   c.current_input = saved;
   current_frame_base_ = saved_frame_base;
-  if (held_ != nullptr) {
-    arena_->harvest(held_);
-    held_.reset();
-  }
+  if (held_ != nullptr) held_.reset();
   if (plan.instrumented) {
     if (obs->config.timing) {
       obs->handles(c, n.id).on_input_us->observe(now_wall_us() - t0);
@@ -1462,16 +1377,9 @@ void ProcessingGraph::deliver_top() {
     if (span != 0) obs->tracer->close(span);
     current_span_ = saved_span;
   }
-  // The previous delivery's watched buffer is released if on_input just
-  // dropped the retention (a latest-value sink replacing its stored fix).
-  arena_->check_watch(c);
-  if (!n.records_provenance) {
-    // The consumed sample dies here; when it was the sink-side head of a
-    // provenance chain its buffer just became reusable — or, still
-    // retained by the component, becomes its watched slot.
-    arena_->harvest_or_watch(plan.scratch.inputs, c);
-    plan.scratch = Sample();
-  }
+  // The consumed sample dies here; unless the component retained a copy,
+  // that releases the provenance chain it heads back to the free list.
+  if (!n.records_provenance) plan.scratch = Sample();
 }
 
 void ProcessingGraph::emit_from(ComponentId producer, Payload payload,

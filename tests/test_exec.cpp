@@ -86,6 +86,45 @@ struct GraphRig {
   std::ostringstream transcript;
 };
 
+/// Push Tick{0} through Src -> AddOne^depth -> Sink and return the copy of
+/// the delivered sample the sink kept. The graph is destroyed first, so the
+/// returned provenance chain outlives it.
+core::Sample retained_chain(std::size_t depth) {
+  core::Sample kept;
+  {
+    core::ProcessingGraph graph;
+    const auto source_id = graph.add(tick_source());
+    core::ComponentId prev = source_id;
+    for (std::size_t i = 0; i < depth; ++i) {
+      const auto stage = graph.add(add_one_stage());
+      graph.connect(prev, stage);
+      prev = stage;
+    }
+    const auto sink = graph.add(std::make_shared<core::ApplicationSink>(
+        "Keeper", std::vector<core::InputRequirement>{core::require<Tick>()},
+        [&kept](const core::Sample& s) { kept = s; }));
+    graph.connect(prev, sink);
+    graph.component_as<core::SourceComponent>(source_id)->push(Tick{0});
+  }
+  return kept;
+}
+
+/// Levels of `head`'s provenance chain, walked without recursion; stops at
+/// the first level that does not hold exactly one input one tick lower.
+std::size_t chain_depth(const core::Sample& head) {
+  std::size_t depth = 0;
+  for (const core::Sample* s = &head;
+       s->inputs != nullptr && s->inputs->size() == 1;
+       s = &s->inputs->front()) {
+    if (s->inputs->front().payload.get<Tick>()->value + 1 !=
+        s->payload.get<Tick>()->value) {
+      break;
+    }
+    ++depth;
+  }
+  return depth;
+}
+
 }  // namespace
 
 // --- Engine basics -----------------------------------------------------------
@@ -280,6 +319,46 @@ TEST(DeepPipeline, TenThousandStageChainDoesNotOverflowTheStack) {
   // Sequence numbers are per-emitting-component and monotone, so the second
   // traversal arrives at the sink as sequence 2.
   EXPECT_EQ(rig.transcript.str(), "10000:1;10100:2;");
+}
+
+// Provenance buffers free iteratively through their deleter, so releasing
+// a retained chain of any depth takes one stack frame — wherever the graph
+// that built it and the thread that releases it are by then.
+
+TEST(DeepPipeline, RetainedTenThousandStageChainOutlivesItsGraph) {
+  core::Sample kept = retained_chain(10'000);
+  EXPECT_EQ(kept.payload.get<Tick>()->value, 10'000);
+  EXPECT_EQ(chain_depth(kept), 10'000u);
+  kept = core::Sample();
+  // The buffers recycled by that release serve the next graph.
+  EXPECT_EQ(chain_depth(retained_chain(10'000)), 10'000u);
+}
+
+TEST(DeepPipeline, RetainedChainIsReleasedOnAnotherThread) {
+  core::Sample kept = retained_chain(10'000);
+  std::thread releaser([chain = std::move(kept)]() mutable {
+    EXPECT_EQ(chain_depth(chain), 10'000u);
+    chain = core::Sample();
+  });
+  releaser.join();
+}
+
+TEST(DeepPipeline, ChainsReleasedFromAWorkerThreadThatExits) {
+  core::Sample outlived;
+  std::thread worker([&outlived] {
+    // Constructed before this thread's first emission, so destroyed after
+    // the thread's buffer cache: its chain is released at thread exit with
+    // no cache left to park buffers in.
+    thread_local core::Sample held_past_cache;
+    core::Sample chain = retained_chain(10'000);
+    EXPECT_EQ(chain_depth(chain), 10'000u);
+    chain = core::Sample();  // Recycled into this thread's cache.
+    held_past_cache = retained_chain(10'000);
+    outlived = retained_chain(10'000);
+  });
+  worker.join();
+  EXPECT_EQ(chain_depth(outlived), 10'000u);
+  outlived = core::Sample();
 }
 
 // --- Chaos: concurrent deploy/teardown while lanes drain ---------------------
@@ -576,10 +655,27 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime's, they would hand out memory that the free-backed
+// deletes above then release, which ASan rejects as a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -857,8 +857,8 @@ TEST(FlowTracing, RingEvictionIsCountedAsDroppedSpans) {
   ASSERT_NE(graph.tracer(), nullptr);
   const std::uint64_t dropped = graph.tracer()->dropped();
   EXPECT_GT(dropped, 0u);
-  const auto* counter =
-      graph.metrics().find_counter("perpos_obs_spans_dropped_total");
+  const auto snapshot = graph.metrics();
+  const auto* counter = snapshot.find_counter("perpos_obs_spans_dropped_total");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->value, dropped);
   EXPECT_NE(graph.tracer()->to_chrome_trace_json().find("\"droppedSpans\":"),

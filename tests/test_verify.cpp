@@ -1540,7 +1540,8 @@ TEST(BudgetRules, QueueBoundGatedOnWatermark) {
   // Unwatermarked: PPQ002 has nothing to check against.
   EXPECT_TRUE(vfy::verify(g, options).by_rule("PPQ002").empty());
   options.budget.queue_watermark = 8;
-  const auto findings = vfy::verify(g, options).by_rule("PPQ002");
+  const vfy::Report report = vfy::verify(g, options);
+  const auto findings = report.by_rule("PPQ002");
   ASSERT_FALSE(findings.empty());
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kWarning);
   options.budget.queue_watermark = 4096;
@@ -1559,7 +1560,8 @@ TEST(BudgetRules, InfeasibleLatencySloIsError) {
   slow.cost_us = 9000.0;
   options.budget.annotations.emplace(mid, slow);
   options.budget.latency_slo_us = 5000.0;
-  const auto findings = vfy::verify(g, options).by_rule("PPQ003");
+  const vfy::Report report = vfy::verify(g, options);
+  const auto findings = report.by_rule("PPQ003");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kError);
   // Anchored at the path's sink, where the latency is owed.
@@ -1584,7 +1586,8 @@ TEST(BudgetRules, RateStarvedSinkIsWarning) {
   vfy::BudgetAnnotation need;
   need.min_rate_hz = 2.0;
   options.budget.annotations.emplace(sink, need);
-  const auto findings = vfy::verify(g, options).by_rule("PPQ004");
+  const vfy::Report report = vfy::verify(g, options);
+  const auto findings = report.by_rule("PPQ004");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kWarning);
   EXPECT_EQ(findings[0]->component, sink);
@@ -1608,7 +1611,8 @@ TEST(BudgetRules, CriticalFeedbackGainIsError) {
   model.edges.push_back({2, 1});
   vfy::Options options;
   options.budget.queue_watermark = 64;
-  const auto findings = vfy::verify_model(model, options).by_rule("PPQ005");
+  const vfy::Report report = vfy::verify_model(model, options);
+  const auto findings = report.by_rule("PPQ005");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0]->severity, vfy::Severity::kError);
   // A damped loop (gain < 1) has a finite geometric bound: clean.
